@@ -115,6 +115,8 @@ def _load_matrix(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read matrix file {path!r}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"matrix file {path!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"matrix file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
@@ -266,12 +268,23 @@ def _cmd_verify(args, out) -> int:
     return 0
 
 
-def _cmd_oracle(args, out, err) -> int:
-    lattice, _ = _load_lattice(args)
+def _budget(args) -> int:
+    """--budget, else $GENUS_LATTICE_BUDGET, else the default; positive."""
     budget = args.budget
     if budget is None:
         env = os.environ.get(_BUDGET_ENV)
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ParseError(f"{_BUDGET_ENV}={env!r} is not an integer") from None
+    if budget < 1:
+        raise ParseError(f"the state budget must be positive, got {budget}")
+    return budget
+
+
+def _cmd_oracle(args, out, err) -> int:
+    lattice, _ = _load_lattice(args)
+    budget = _budget(args)
     seeds = enumerate_vectors(lattice, args.square, args.div, args.bound, max_states=budget)
     gens = default_generators(lattice)
     report = orbit_bfs(

@@ -8,24 +8,46 @@ determinant signs and inertia counts are certificates and must be exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
+def _nonzeros(row) -> list[tuple[int, int]]:
+    """(index, entry) for each non-zero entry; the scan runs in C."""
+    return [(j, row[j]) for j in compress(range(len(row)), row)]
+
+
+def _combine(coeffs, rows, cols: int) -> Vector:
+    """sum_k coeffs[k] * rows[k] for rows given as non-zero entry lists."""
+    acc = [0] * cols
+    for k in compress(range(len(coeffs)), coeffs):
+        x = coeffs[k]
+        for j, y in rows[k]:
+            acc[j] += x * y
+    return tuple(acc)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Row i of the product adds up the rows of b weighted by the
+    non-zero entries of row i of a, touching only non-zero entries of b.
+
+    Finding the non-zeros is a C-level scan, so the Python-level work
+    is the count of non-zero products: certificates are the identity
+    plus a low-rank term and mostly zero.
+    """
+    cols = len(b[0]) if b else 0
+    rows = [_nonzeros(row) for row in b]
+    return tuple(_combine(row, rows, cols) for row in a)
 
 
 def matvec(a: Matrix, v) -> Vector:
@@ -33,11 +55,28 @@ def matvec(a: Matrix, v) -> Vector:
 
 
 def vecmat(v, a: Matrix) -> Vector:
-    """Row vector times matrix."""
+    """Row vector times matrix, over the non-zero entries only."""
     if not a:
         return ()
-    cols = len(a[0])
-    return tuple(sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols))
+    rows = [_nonzeros(row) if x else () for x, row in zip(v, a)]
+    return _combine(v, rows, len(a[0]))
+
+
+def add_outer(m: list[list[int]], a, b) -> None:
+    """m += a b^T in place, visiting only the supports of a and b."""
+    b_nz = _nonzeros(b)
+    for r in compress(range(len(a)), a):
+        row, x = m[r], a[r]
+        for j, y in b_nz:
+            row[j] += x * y
+
+
+def identity_plus(n: int, terms) -> Matrix:
+    """I + sum of a b^T over the (a, b) pairs in terms."""
+    m = [list(row) for row in identity(n)]
+    for a, b in terms:
+        add_outer(m, a, b)
+    return tuple(map(tuple, m))
 
 
 def dot(u, v) -> int:
@@ -73,6 +112,32 @@ def det(a: Matrix) -> int:
             m[i][k] = 0
         prev = pivot
     return sign * m[-1][-1]
+
+
+def leading_minors(a: Matrix) -> list[int]:
+    """Leading principal minors d_1, d_2, ... of a square matrix.
+
+    One fraction-free (Bareiss) pass without row swaps: the k-th pivot
+    is exactly d_k (Sylvester's identity).  The pass cannot continue
+    past a zero pivot, so the list ends at the first zero minor.
+    """
+    n = len(a)
+    m = [list(row) for row in a]
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return minors
 
 
 def direct_sum(mats) -> Matrix:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import intmat
 from .errors import (
@@ -30,17 +30,25 @@ class Isometry:
     lattice: Lattice
     matrix: intmat.Matrix
 
+    @cached_property
+    def _columns(self) -> intmat.Matrix:
+        return intmat.transpose(self.matrix)
+
+    def apply(self, coords) -> intmat.Vector:
+        """M x, computed as x^T M^T over the support of x."""
+        return intmat.vecmat(coords, self._columns)
+
     def __call__(self, x: HClass) -> HClass:
         if self.lattice is not x.lattice and self.lattice != x.lattice:
             raise LatticeMismatch("class and isometry live over different lattices")
-        return HClass(self.lattice, intmat.matvec(self.matrix, x.coords))
+        return HClass(self.lattice, self.apply(x.coords))
 
     def determinant(self) -> int:
         return intmat.det(self.matrix)
 
     def inverse(self) -> "Isometry":
         # M^-1 = G^-1 M^T G; integral because G is unimodular
-        ginv = _gram_inverse(self.lattice.gram)
+        ginv = _gram_inverse(self.lattice)
         m = intmat.matmul(ginv, intmat.matmul(intmat.transpose(self.matrix), self.lattice.gram))
         return Isometry(self.lattice, m)
 
@@ -55,8 +63,8 @@ class Isometry:
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(gram: intmat.Matrix) -> intmat.Matrix:
-    return intmat.inverse_unimodular(gram)
+def _gram_inverse(lattice: Lattice) -> intmat.Matrix:
+    return intmat.inverse_unimodular(lattice.gram)
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:
@@ -64,20 +72,27 @@ def identity_isometry(lattice: Lattice) -> Isometry:
 
 
 def verify_isometry(lattice: Lattice, matrix) -> Isometry:
-    """Return the certificate iff M^T G M = G holds exactly."""
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
+    """Return the certificate iff M^T G M = G holds exactly.
+
+    Every entry of M^T G M is computed and compared with G; the sparse
+    products only skip terms with a zero factor.
+    """
+    m = tuple(tuple(map(int, row)) for row in matrix)
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise NotAnIsometry(f"matrix must be {n}x{n}")
     g = lattice.gram
-    check = intmat.matmul(intmat.matmul(intmat.transpose(m), g), m)
-    for i in range(n):
-        for j in range(n):
-            if check[i][j] != g[i][j]:
-                raise NotAnIsometry(
-                    f"(M^T G M)[{i}][{j}] = {check[i][j]}, expected {g[i][j]}",
-                    entry=(i, j),
-                )
+    # G is symmetric, so the rows of M^T G are (G m_j)^T for the columns m_j
+    mt_g = tuple(lattice.gram_apply(col) for col in intmat.transpose(m))
+    check = intmat.matmul(mt_g, m)
+    if check != g:
+        i, j = next(
+            (i, j) for i in range(n) for j in range(n) if check[i][j] != g[i][j]
+        )
+        raise NotAnIsometry(
+            f"(M^T G M)[{i}][{j}] = {check[i][j]}, expected {g[i][j]}",
+            entry=(i, j),
+        )
     return Isometry(lattice, m)
 
 
@@ -91,7 +106,7 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
 def fixes_class(m: Isometry, x: HClass) -> bool:
     if m.lattice is not x.lattice and m.lattice != x.lattice:
         raise LatticeMismatch("class and isometry live over different lattices")
-    return intmat.matvec(m.matrix, x.coords) == x.coords
+    return m.apply(x.coords) == x.coords
 
 
 def reflection(lattice: Lattice, v: HClass) -> Isometry:
@@ -101,7 +116,7 @@ def reflection(lattice: Lattice, v: HClass) -> Isometry:
     v2 = v.square()
     if v2 == 0:
         raise NonIntegralReflection("cannot reflect in a vector of square zero")
-    gv = intmat.matvec(lattice.gram, v.coords)
+    gv = lattice.gram_apply(v.coords)
     coeffs = []
     for i, pairing in enumerate(gv):
         num = 2 * pairing
@@ -109,12 +124,8 @@ def reflection(lattice: Lattice, v: HClass) -> Isometry:
             raise NonIntegralReflection(
                 f"2(x.v)/v^2 is not integral on basis vector {i}"
             )
-        coeffs.append(num // v2)
-    n = lattice.rank
-    m = tuple(
-        tuple(int(i == r) - coeffs[i] * v.coords[r] for i in range(n))
-        for r in range(n)
-    )
+        coeffs.append(-(num // v2))
+    m = intmat.identity_plus(lattice.rank, [(v.coords, coeffs)])
     return verify_isometry(lattice, m)
 
 
@@ -134,16 +145,11 @@ def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
     v2 = v.square()
     if v2 % 2 != 0:
         raise BadTransvectionData("v must have even square")
-    g = lattice.gram
-    gu = intmat.matvec(g, u.coords)
-    gv = intmat.matvec(g, v.coords)
+    gu = lattice.gram_apply(u.coords)
+    gv = lattice.gram_apply(v.coords)
     h = v2 // 2
-    z = tuple(v.coords[r] + h * u.coords[r] for r in range(lattice.rank))
-    n = lattice.rank
-    m = tuple(
-        tuple(int(i == r) + gv[i] * u.coords[r] - gu[i] * z[r] for i in range(n))
-        for r in range(n)
-    )
+    minus_z = tuple(-(a + h * b) for a, b in zip(v.coords, u.coords))
+    m = intmat.identity_plus(lattice.rank, [(u.coords, gv), (minus_z, gu)])
     return verify_isometry(lattice, m)
 
 
@@ -169,6 +175,13 @@ class SpinorFrame:
     lattice: Lattice
     matrix: intmat.Matrix  # rank x sig_pos
 
+    @cached_property
+    def _pt_gram(self) -> intmat.Matrix:
+        """P^T G, one row G p per frame column p (G is symmetric)."""
+        return tuple(
+            self.lattice.gram_apply(col) for col in intmat.transpose(self.matrix)
+        )
+
 
 def make_frame(lattice: Lattice, columns) -> SpinorFrame:
     cols = [tuple(c.coords) if isinstance(c, HClass) else tuple(c) for c in columns]
@@ -177,14 +190,12 @@ def make_frame(lattice: Lattice, columns) -> SpinorFrame:
             f"frame needs {lattice.sig_pos} columns, got {len(cols)}"
         )
     p = tuple(tuple(col[r] for col in cols) for r in range(lattice.rank))
-    b = intmat.matmul(
-        intmat.matmul(intmat.transpose(p), lattice.gram), p
-    )
-    for k in range(1, len(cols) + 1):
-        minor = tuple(row[:k] for row in b[:k])
-        if intmat.det(minor) <= 0:
-            raise DegenerateFrame("frame is not positive definite")
-    return SpinorFrame(lattice, p)
+    frame = SpinorFrame(lattice, p)
+    # Sylvester: positive definite iff every leading principal minor is > 0
+    minors = intmat.leading_minors(intmat.matmul(frame._pt_gram, p))
+    if any(d <= 0 for d in minors):
+        raise DegenerateFrame("frame is not positive definite")
+    return frame
 
 
 @lru_cache(maxsize=None)
@@ -205,9 +216,7 @@ def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
     """+1 iff m preserves the orientation of the positive part."""
     if frame.lattice is not m.lattice and frame.lattice != m.lattice:
         raise LatticeMismatch("frame and isometry live over different lattices")
-    p = frame.matrix
-    mp = intmat.matmul(m.matrix, p)
-    b = intmat.matmul(intmat.matmul(intmat.transpose(p), frame.lattice.gram), mp)
+    b = intmat.matmul(frame._pt_gram, intmat.matmul(m.matrix, frame.matrix))
     d = intmat.det(b)
     if d == 0:
         raise DegenerateFrame("det(P^T G M P) = 0; input is not an isometry")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 
 from . import intmat
 from .errors import BadParameters, LatticeMismatch, ParseError
@@ -72,10 +73,15 @@ class Block(Enum):
 
 @dataclass(frozen=True)
 class Lattice:
-    """An ordered direct sum of blocks with named basis vectors."""
+    """An ordered direct sum of blocks with named basis vectors.
+
+    The dense Gram is a function of the blocks, so it takes no part in
+    equality or hashing; pairings go through ``pair``/``gram_apply``,
+    which visit only the non-zero Gram entries (at most 4 per row).
+    """
 
     blocks: tuple[Block, ...]
-    gram: intmat.Matrix
+    gram: intmat.Matrix = field(compare=False)
     basis_names: tuple[str, ...]
     rank: int
     sig_pos: int
@@ -93,6 +99,34 @@ class Lattice:
     def block_range(self, i: int) -> range:
         start = self.block_offsets[i]
         return range(start, start + self.blocks[i].rank)
+
+    @cached_property
+    def _gram_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i holds the pairs (j, G[i][j]) with G[i][j] != 0."""
+        rows = []
+        for b, start in zip(self.blocks, self.block_offsets):
+            for row in b.gram:
+                rows.append(tuple((start + j, x) for j, x in enumerate(row) if x))
+        return tuple(rows)
+
+    def gram_apply(self, x) -> intmat.Vector:
+        """G x for a coordinate vector x, in O(rank)."""
+        out = [0] * self.rank
+        rows = self._gram_rows
+        # G is symmetric: G x adds up x_k times row k over the support of x
+        for k in compress(range(self.rank), x):
+            c = x[k]
+            for j, g in rows[k]:
+                out[j] += c * g
+        return tuple(out)
+
+    def pair(self, u, v) -> int:
+        """The bilinear form u^T G v on coordinate vectors, in O(rank)."""
+        rows = self._gram_rows
+        total = 0
+        for i in compress(range(self.rank), u):
+            total += u[i] * sum(g * v[j] for j, g in rows[i])
+        return total
 
     @cached_property
     def spec(self) -> str:
@@ -172,22 +206,7 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
             raise BadParameters("basis_names length must equal the rank")
         if len(set(basis_names)) != rank:
             raise BadParameters("basis names must be distinct")
-    # unimodularity: det of a direct sum is the product of block dets
-    d = 1
-    for b in blocks:
-        d *= _block_det(b)
-    if d not in (1, -1):
-        raise BadParameters("assembled Gram matrix is not unimodular")
     return Lattice(blocks, gram, basis_names, rank, sig_pos, sig_neg)
-
-
-_BLOCK_DETS: dict[Block, int] = {}
-
-
-def _block_det(b: Block) -> int:
-    if b not in _BLOCK_DETS:
-        _BLOCK_DETS[b] = intmat.det(b.gram)
-    return _BLOCK_DETS[b]
 
 
 @dataclass(frozen=True)
@@ -211,7 +230,7 @@ class HClass:
 
     def dot(self, other: "HClass") -> int:
         self._check_same(other)
-        return intmat.dot(self.coords, intmat.matvec(self.lattice.gram, other.coords))
+        return self.lattice.pair(self.coords, other.coords)
 
     def square(self) -> int:
         return self.dot(self)
@@ -227,7 +246,7 @@ class HClass:
         return self.divisibility() == 1
 
     def is_characteristic(self) -> bool:
-        gx = intmat.matvec(self.lattice.gram, self.coords)
+        gx = self.lattice.gram_apply(self.coords)
         g = self.lattice.gram
         return all((gx[i] - g[i][i]) % 2 == 0 for i in range(self.lattice.rank))
 

@@ -94,7 +94,6 @@ def default_generators(lattice: Lattice) -> list[Isometry]:
     reflections with u, v drawn from the basis vectors, their negatives
     and pairwise sums and differences."""
     rank = lattice.rank
-    gram = lattice.gram
     cands: list[intmat.Vector] = []
     for i in range(rank):
         for s in (1, -1):
@@ -108,9 +107,7 @@ def default_generators(lattice: Lattice) -> list[Isometry]:
                 v[i], v[j] = si, sj
                 cands.append(tuple(v))
 
-    def pair(u, v):
-        return intmat.dot(u, intmat.matvec(gram, v))
-
+    pair = lattice.pair
     ident = intmat.identity(rank)
     seen: dict[intmat.Matrix, None] = {}
     gens: list[Isometry] = []
@@ -287,7 +284,7 @@ def exhaustive_isometry_search(
         raise BudgetExceeded("candidate enumeration exceeds the budget")
     by_square: dict[int, list] = {}
     for v in itertools.product(range(-entry_bound, entry_bound + 1), repeat=rank):
-        gv = intmat.matvec(gram, v)
+        gv = lattice.gram_apply(v)
         by_square.setdefault(intmat.dot(gv, v), []).append((v, gv))
     for group in by_square.values():
         group.sort(key=lambda item: (max(map(abs, item[0]), default=0), item[0]))
@@ -320,7 +317,7 @@ def exhaustive_isometry_search(
             v = tuple(r // xc[j] for r in rem)
             if max(map(abs, v), default=0) > entry_bound:
                 return None
-            gv = intmat.matvec(gram, v)
+            gv = lattice.gram_apply(v)
             if intmat.dot(gv, v) != gram[j][j] or not admissible(j, v, gv):
                 return None
             choices = [(v, gv)]

@@ -213,7 +213,6 @@ class _Reducer:
 
     def __init__(self, lattice: Lattice, coords, target_block: int, acting):
         self.lattice = lattice
-        self.gram = lattice.gram
         blocks = lattice.blocks
         for i in acting:
             if not blocks[i].is_even:
@@ -248,16 +247,6 @@ class _Reducer:
         self.y = list(coords)
         self.moves: list[tuple[intmat.Vector, intmat.Vector]] = []
 
-    # pairings against the running class
-
-    def _pair(self, vec) -> int:
-        g = self.gram
-        total = 0
-        for i, c in enumerate(vec):
-            if c:
-                total += c * intmat.dot(g[i], self.y)
-        return total
-
     def _unit(self, index: int, scale: int = 1) -> list[int]:
         v = [0] * self.lattice.rank
         v[index] = scale
@@ -265,11 +254,12 @@ class _Reducer:
 
     def move(self, u, v) -> None:
         """Apply E_{u,v} to the running class and log it."""
-        yu = self._pair(u)
-        yv = self._pair(v)
-        v2 = _pairing(self.gram, v, v)
-        assert _pairing(self.gram, u, u) == 0
-        assert _pairing(self.gram, u, v) == 0
+        pair = self.lattice.pair
+        yu = pair(u, self.y)
+        yv = pair(v, self.y)
+        v2 = pair(v, v)
+        assert pair(u, u) == 0
+        assert pair(u, v) == 0
         assert v2 % 2 == 0
         cu = yv - (v2 // 2) * yu
         for r in range(self.lattice.rank):
@@ -305,7 +295,8 @@ class _Reducer:
         y = self.y
         if not (y[self.e1] or y[self.f1] or y[self.e2] or y[self.f2]):
             # stage 1: pull a pairing of w into the e1 coordinate
-            i = next(i for i in self.rest if intmat.dot(self.gram[i], y) != 0)
+            gy = self.lattice.gram_apply(y)
+            i = next(i for i in self.rest if gy[i] != 0)
             self.move(self._unit(self.e1), self._unit(i))
         # stage 2: diagonalize the pair matrix
         ops, _ = diagonalize_ops(self.pair_matrix())
@@ -340,7 +331,7 @@ class _Reducer:
         for p in primes:
             rad *= p
         v = [0] * self.lattice.rank
-        gy = [intmat.dot(self.gram[i], self.y) for i in range(self.lattice.rank)]
+        gy = self.lattice.gram_apply(self.y)
         for p in primes:
             if b % p != 0:
                 continue
@@ -356,32 +347,19 @@ class _Reducer:
         return v
 
     def certificate_matrix(self) -> intmat.Matrix:
-        n = self.lattice.rank
-        g = self.gram
-        m = [[int(i == r) for i in range(n)] for r in range(n)]
+        lattice = self.lattice
+        m = [list(row) for row in intmat.identity(lattice.rank)]
         for u, v in self.moves:
-            gu = intmat.matvec(g, u)
-            gv = intmat.matvec(g, v)
-            v2 = intmat.dot(gv, v)
-            h = v2 // 2
-            z = [v[r] + h * u[r] for r in range(n)]
+            # E_{u,v} = I + u (Gv)^T - (v + (v^2/2) u) (Gu)^T
+            gu = lattice.gram_apply(u)
+            gv = lattice.gram_apply(v)
+            h = intmat.dot(gv, v) // 2
+            minus_z = [-(a + h * b) for a, b in zip(v, u)]
             p = intmat.vecmat(gv, m)
             q = intmat.vecmat(gu, m)
-            for r in range(n):
-                ur, zr = u[r], z[r]
-                if ur or zr:
-                    row = m[r]
-                    for j in range(n):
-                        row[j] += ur * p[j] - zr * q[j]
-        return tuple(tuple(row) for row in m)
-
-
-def _pairing(gram, u, v) -> int:
-    total = 0
-    for i, c in enumerate(u):
-        if c:
-            total += c * intmat.dot(gram[i], v)
-    return total
+            intmat.add_outer(m, u, p)
+            intmat.add_outer(m, minus_z, q)
+        return tuple(map(tuple, m))
 
 
 def _default_acting(lattice: Lattice) -> tuple[int, ...]:
@@ -413,7 +391,7 @@ def reduce_even(
     matrix = red.certificate_matrix()
     cert = verify_isometry(lattice, matrix)
     canonical = lattice.hclass(tuple(d * c for c in red.y))
-    assert intmat.matvec(matrix, x.coords) == canonical.coords
+    assert cert.apply(x.coords) == canonical.coords
     assert canonical.square() == x.square()
     assert canonical.divisibility() == d
     return _result(x, canonical, cert)
@@ -480,7 +458,7 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
         cert = inner.certificate
         gamma, delta = d, d * s  # delta <= 0, zero iff B^2 = 0
     canonical = a * surface.k + gamma * surface.R + delta * surface.T
-    assert intmat.matvec(cert.matrix, a_class.coords) == canonical.coords
+    assert cert.apply(a_class.coords) == canonical.coords
     assert canonical.square() == a_class.square()
     assert canonical.divisibility() == a_class.divisibility()
     res = _result(a_class, canonical, cert)
@@ -497,7 +475,7 @@ def phi_isometry(surface, alpha: int) -> Isometry:
     lattice = surface.lattice
     alpha = int(alpha)
     n = lattice.rank
-    m = [[int(i == r) for i in range(n)] for r in range(n)]
+    m = [list(row) for row in intmat.identity(n)]
     m[2][1] = alpha   # W column gains alpha R
     m[0][3] = -alpha  # T column gains -alpha k
     return verify_isometry(lattice, m)
@@ -526,7 +504,7 @@ def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
     flip = reflection(lattice, surface.R - surface.T)
     cert = compose(phi_isometry(surface, a), compose(flip, inner.certificate))
     canonical = surface.S
-    assert intmat.matvec(cert.matrix, a_class.coords) == canonical.coords
+    assert cert.apply(a_class.coords) == canonical.coords
     res = _result(a_class, canonical, cert)
     assert res.spinor == 1 and res.fixes_k
     return res

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import genlat as g
 from genlat.cli import run
 
@@ -180,3 +182,31 @@ def test_surface_and_lattice_flags_exclusive(tmp_path):
         ["verify", "--surface", "E(2)", "--lattice", "H", "--matrix", str(path)]
     )
     assert code == 2
+
+
+def _orbit_argv(*extra):
+    return ["oracle", "orbit", "--lattice", "H", "--square", "0", *extra]
+
+
+def _assert_typed_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_bad_budget_env_var_exit_2(monkeypatch, value):
+    monkeypatch.setenv("GENUS_LATTICE_BUDGET", value)
+    _assert_typed_error(*call(_orbit_argv()))
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_budget_flag_exit_2(value):
+    _assert_typed_error(*call(_orbit_argv(f"--budget={value}")))
+
+
+def test_non_utf8_matrix_file_exit_2(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe[[1,0],[0,1]]")
+    for verb in ("verify", "spinor"):
+        _assert_typed_error(*call([verb, "--lattice", "H", "--matrix", str(path)]))

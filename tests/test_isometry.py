@@ -230,6 +230,18 @@ def test_make_frame_validates(H2):
         g.make_frame(
             H2, [H2.hclass([1, -1, 0, 0]), H2.hclass([0, 0, 1, 1])]
         )  # first column has square -2
+    with pytest.raises(g.DegenerateFrame):
+        g.make_frame(
+            H2, [H2.hclass([1, 0, 0, 0]), H2.hclass([0, 0, 1, 1])]
+        )  # first leading minor is 0
+    with pytest.raises(g.DegenerateFrame):
+        g.make_frame(
+            H2, [H2.hclass([1, 1, 0, 0]), H2.hclass([1, 1, 0, 0])]
+        )  # second leading minor is 0
+    with pytest.raises(g.DegenerateFrame):
+        g.make_frame(
+            H2, [H2.hclass([1, 1, 0, 0]), H2.hclass([1, 2, 0, 0])]
+        )  # second leading minor is 2*4 - 3*3 < 0
 
 
 def test_degenerate_frame_on_corrupted_input(H2):
