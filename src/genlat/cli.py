@@ -21,7 +21,7 @@ from .elliptic import (
 )
 from .errors import BudgetExceeded, LatticeError, ParseError
 from .isometry import canonical_frame, spinor_norm, verify_isometry
-from .lattice import HClass, Lattice, lattice_from_spec
+from .lattice import HClass, Lattice, json_int_rows, lattice_from_spec
 from .oracle import DEFAULT_BUDGET, default_generators, enumerate_vectors, orbit_bfs
 from .reduction import reduce_in_elliptic
 
@@ -119,13 +119,7 @@ def _load_matrix(path: str):
         raise ParseError(f"matrix file {path!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"matrix file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise ParseError(f"matrix file {path!r} must be a JSON array of integer rows")
-    for row in doc:
-        for x in row:
-            if not isinstance(x, int):
-                raise ParseError(f"non-integer entry {x!r} in matrix file {path!r}")
-    return doc
+    return json_int_rows(doc, f"matrix file {path!r}")
 
 
 def _class_summary(surface: EllipticSurface, a: HClass) -> dict:

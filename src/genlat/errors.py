@@ -53,5 +53,9 @@ class PreconditionFailed(LatticeError):
     """A stated operation precondition does not hold."""
 
 
+class InvariantViolation(LatticeError):
+    """An internal postcondition failed; the result would be wrong."""
+
+
 class BudgetExceeded(LatticeError):
     """A search exceeded its hard state budget."""

@@ -83,10 +83,6 @@ def dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def is_symmetric(a: Matrix) -> bool:
-    return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
-
-
 def det(a: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
@@ -183,59 +179,3 @@ def inverse_unimodular(a: Matrix) -> Matrix:
                 raise ValueError("inverse is not integral")
         out.append(tuple(int(x) for x in row))
     return tuple(out)
-
-
-def signature(a: Matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix.
-
-    Computed by congruence diagonalization over the rationals; a zero
-    diagonal with a non-zero off-diagonal entry is repaired with the
-    standard x_i -> x_i + x_j substitution.
-    """
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    pos = neg = zero = 0
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += n - k
-                break
-            i, j = found
-            # all trailing diagonal entries vanish, so this makes
-            # m[i][i] = 2*m[i][j] != 0
-            for t in range(n):
-                m[i][t] += m[j][t]
-            for t in range(n):
-                m[t][i] += m[t][j]
-            piv = i
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m:
-                row[k], row[piv] = row[piv], row[k]
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            if f:
-                for j in range(k + 1, n):
-                    m[i][j] -= f * m[k][j]
-        for i in range(k + 1, n):
-            m[i][k] = Fraction(0)
-            m[k][i] = Fraction(0)
-    return pos, neg, zero

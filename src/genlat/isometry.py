@@ -20,7 +20,14 @@ from .errors import (
     NonIntegralReflection,
     NotAnIsometry,
 )
-from .lattice import Block, HClass, Lattice, lattice_from_spec
+from .lattice import (
+    Block,
+    HClass,
+    Lattice,
+    json_field,
+    json_int_rows,
+    lattice_from_spec,
+)
 
 
 @dataclass(frozen=True)
@@ -248,5 +255,5 @@ def realizability(surface, m: Isometry) -> Realizability:
 
 
 def isometry_from_json_dict(doc: dict) -> Isometry:
-    lat = lattice_from_spec(doc["lattice"])
-    return verify_isometry(lat, doc["matrix"])
+    lat = lattice_from_spec(json_field(doc, "lattice"))
+    return verify_isometry(lat, json_int_rows(json_field(doc, "matrix"), "matrix"))

@@ -303,6 +303,8 @@ _TOKEN_TO_BLOCK = {b.token: b for b in Block}
 
 def parse_lattice_spec(text: str) -> tuple[Block, ...]:
     """Parse a spec such as "H',2H,3E8-" into a block tuple."""
+    if not isinstance(text, str):
+        raise ParseError(f"lattice spec must be a string, got {text!r}")
     blocks: list[Block] = []
     for raw in text.split(","):
         tok = raw.strip()
@@ -384,17 +386,56 @@ def _is_int(s: str) -> bool:
         return False
 
 
+# -- JSON documents -----------------------------------------------------------
+
+def json_field(doc, key: str):
+    """doc[key] of a JSON object, or ParseError when it has no such key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"JSON document has no {key!r} field")
+    return doc[key]
+
+
+def json_ints(values, what: str):
+    """A JSON array of integers, returned as given; ParseError otherwise.
+
+    Floats, strings and booleans are refused rather than converted:
+    int() would truncate 1.9 to 1, and bool is an int subclass.
+    """
+    if not isinstance(values, list):
+        raise ParseError(f"{what} must be a JSON array of integers")
+    if not {int}.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) is not int)
+        raise ParseError(f"non-integer entry {bad!r} in {what}")
+    return values
+
+
+def json_int_rows(rows, what: str):
+    """A JSON array of integer rows, returned as given; ParseError otherwise."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{what} must be a JSON array of integer rows")
+    for row in rows:
+        json_ints(row, what)
+    return rows
+
+
 def lattice_from_json_dict(doc: dict) -> Lattice:
-    blocks = tuple(_TOKEN_TO_BLOCK[t] for t in doc["blocks"])
+    tokens = json_field(doc, "blocks")
+    if not isinstance(tokens, list) or not all(
+        isinstance(t, str) and t in _TOKEN_TO_BLOCK for t in tokens
+    ):
+        raise ParseError(f"bad block list {tokens!r}")
     names = doc.get("basis_names")
+    if names is not None and not isinstance(names, list):
+        raise ParseError("basis_names must be a JSON array")
+    blocks = [_TOKEN_TO_BLOCK[t] for t in tokens]
     lat = make_lattice(blocks, tuple(names) if names else None)
     if "gram" in doc:
-        given = tuple(tuple(int(x) for x in row) for row in doc["gram"])
-        if given != lat.gram:
+        given = json_int_rows(doc["gram"], "gram")
+        if tuple(map(tuple, given)) != lat.gram:
             raise ParseError("gram matrix does not match the block structure")
     return lat
 
 
 def hclass_from_json_dict(doc: dict) -> HClass:
-    lat = lattice_from_spec(doc["lattice"])
-    return lat.hclass(doc["coords"])
+    lat = lattice_from_spec(json_field(doc, "lattice"))
+    return lat.hclass(json_ints(json_field(doc, "coords"), "coords"))

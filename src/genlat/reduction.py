@@ -15,7 +15,7 @@ reduction is staged:
 1. if all four pair coordinates vanish, one transvection pulls a
    non-zero pairing of w into a;
 2. exact Euclid on elementary additions diagonalizes N;
-3. one transvection with v assembled by CRT over the primes of a makes
+3. one transvection with v built from gcds alone (no factoring) makes
    gcd(a, b) = 1 without disturbing anything else;
 4. with the gcd equal to 1, elementary additions reach N = diag(1, ab);
 5. a single transvection E_{f1, w} absorbs the leftover w.
@@ -31,8 +31,10 @@ from dataclasses import dataclass
 
 from . import intmat
 from .errors import (
+    InvariantViolation,
     NeedTwoHyperbolicPlanes,
     NotOrthogonalToK,
+    ParseError,
     PreconditionFailed,
     ZeroClass,
 )
@@ -46,7 +48,15 @@ from .isometry import (
     spinor_norm,
     verify_isometry,
 )
-from .lattice import Block, HClass, Lattice, lattice_from_spec
+from .lattice import (
+    Block,
+    HClass,
+    Lattice,
+    json_field,
+    json_int_rows,
+    json_ints,
+    lattice_from_spec,
+)
 
 
 @dataclass(frozen=True)
@@ -73,15 +83,23 @@ class ReductionResult:
 
 
 def reduction_result_from_json_dict(doc: dict) -> ReductionResult:
-    lat = lattice_from_spec(doc["lattice"])
-    cert = verify_isometry(lat, doc["certificate"])
+    lat = lattice_from_spec(json_field(doc, "lattice"))
+    cert = verify_isometry(
+        lat, json_int_rows(json_field(doc, "certificate"), "certificate")
+    )
+    spinor = json_field(doc, "spinor")
+    if type(spinor) is not int or spinor not in (1, -1):
+        raise ParseError(f"spinor must be 1 or -1, got {spinor!r}")
+    fixes = [json_field(doc, key) for key in ("fixes_k", "fixes_W")]
+    if not all(type(f) is bool for f in fixes):
+        raise ParseError("fixes_k and fixes_W must be JSON booleans")
     return ReductionResult(
-        input=lat.hclass(doc["input"]),
-        canonical=lat.hclass(doc["canonical"]),
+        input=lat.hclass(json_ints(json_field(doc, "input"), "input")),
+        canonical=lat.hclass(json_ints(json_field(doc, "canonical"), "canonical")),
         certificate=cert,
-        spinor=int(doc["spinor"]),
-        fixes_k=bool(doc["fixes_k"]),
-        fixes_W=bool(doc["fixes_W"]),
+        spinor=spinor,
+        fixes_k=fixes[0],
+        fixes_W=fixes[1],
     )
 
 
@@ -185,27 +203,6 @@ def diagonalize_ops(matrix, corner_one: bool = False):
     raise AssertionError("2x2 diagonalization did not terminate")
 
 
-def _distinct_primes(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                out.append(p)
-                while n % p == 0:
-                    n //= p
-        f += 6
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- the transvection engine ---------------------------------------------------
 
 class _Reducer:
@@ -306,7 +303,8 @@ class _Reducer:
         a, b = y[self.e1], y[self.f1]
         if math.gcd(a, b) != 1:
             self.move(self._unit(self.f1), self._coprime_vector(a, b))
-            assert math.gcd(y[self.e1], y[self.f1]) == 1
+            if math.gcd(y[self.e1], y[self.f1]) != 1:
+                raise InvariantViolation("stage 3 left gcd(a, b) != 1")
         # stage 4: reach a = 1 exactly
         ops, final = diagonalize_ops(self.pair_matrix(), corner_one=True)
         self.replay(ops)
@@ -322,29 +320,30 @@ class _Reducer:
         )
 
     def _coprime_vector(self, a: int, b: int) -> list[int]:
-        # One move E_{f1, v} sends b to b + w.v - (v^2/2) a.  For each
-        # prime P of a the correction vanishes mod P except through
-        # w.v, so choosing w.v to be a unit mod the primes dividing
-        # gcd(a, b) and zero mod the others makes gcd(a, b') = 1.
-        primes = _distinct_primes(a)
-        rad = 1
-        for p in primes:
-            rad *= p
+        # One move E_{f1, v} sends b to b + w.v - (v^2/2) a, so
+        # gcd(a, b') = gcd(a, b + w.v).  Fold the pairings w.e_i into
+        # cur = b + w.v one at a time, adding s (w.e_i) with s the
+        # largest divisor of a coprime to cur: primes of a that do not
+        # divide cur stay out, and those that do are cleared unless
+        # they also divide w.e_i.
         v = [0] * self.lattice.rank
         gy = self.lattice.gram_apply(self.y)
-        for p in primes:
-            if b % p != 0:
+        cur = b
+        for i in self.rest:
+            if not gy[i]:
                 continue
-            i_p = next(
-                (i for i in self.rest if gy[i] % p != 0), None
-            )
-            # a prime dividing a, b and all pairings of w would divide
-            # the whole (primitive) class
-            assert i_p is not None, "class is not primitive"
-            m = rad // p
-            c = m * pow(m % p, -1, p)
-            v[i_p] += c
-        return v
+            s = a
+            g = math.gcd(s, cur)
+            while g != 1:
+                s //= g
+                g = math.gcd(s, cur)
+            cur += s * gy[i]
+            v[i] = s
+            if math.gcd(a, cur) == 1:
+                return v
+        # a prime dividing a, b and all pairings of w would divide the
+        # whole (primitive) class, since the pairings determine w
+        raise InvariantViolation("class is not primitive")
 
     def certificate_matrix(self) -> intmat.Matrix:
         lattice = self.lattice

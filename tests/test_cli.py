@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,36 @@ def test_non_utf8_matrix_file_exit_2(tmp_path):
     path.write_bytes(b"\xff\xfe[[1,0],[0,1]]")
     for verb in ("verify", "spinor"):
         _assert_typed_error(*call([verb, "--lattice", "H", "--matrix", str(path)]))
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[1.0, 0], [0, 1]], [[True, False], [False, True]], [["1", 0], [0, 1]]]
+)
+def test_non_integer_matrix_entries_exit_2(tmp_path, matrix):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    for verb in ("verify", "spinor"):
+        _assert_typed_error(*call([verb, "--lattice", "H", "--matrix", str(path)]))
+
+
+def test_reduce_output_identical_under_python_O():
+    # the checks that guard a certificate must survive assert stripping;
+    # the class needs stage 3 with a 62-bit semiprime gcd
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    n = 2147483647 * 2147483629
+    argv = ["reduce", "--surface", "E(3)", "--class", f"e1={n},f1={n},e3=1", "--json"]
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", "from genlat.cli import main; main()", *argv],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["spinor"] == 1

@@ -290,3 +290,29 @@ def test_isometry_json_round_trip(H2):
     back = g.isometry_from_json_dict(doc)
     assert back.matrix == iso.matrix
     assert back.to_json_dict() == doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # int() would truncate this to the identity certificate
+        {"lattice": "H", "matrix": [[1.9, 0], [0, 1.5]]},
+        {"lattice": "H", "matrix": [[True, False], [False, True]]},
+        {"lattice": "H", "matrix": [["x", 0], [0, 1]]},
+        {"lattice": "H", "matrix": [[None, 0], [0, 1]]},
+        {"lattice": "H", "matrix": [1, 0, 0, 1]},
+        {"lattice": "H", "matrix": "identity"},
+        {"lattice": "H"},
+        {"matrix": [[1, 0], [0, 1]]},
+        {"lattice": ["H"], "matrix": [[1, 0], [0, 1]]},
+        [[1, 0], [0, 1]],
+    ],
+)
+def test_isometry_json_malformed_is_parse_error(doc):
+    with pytest.raises(g.ParseError):
+        g.isometry_from_json_dict(doc)
+
+
+def test_isometry_json_non_isometry_still_rejected():
+    with pytest.raises(g.NotAnIsometry):
+        g.isometry_from_json_dict({"lattice": "H", "matrix": [[1, 1], [0, 1]]})

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,66 @@ from hypothesis import strategies as st
 
 import genlat as g
 from genlat import intmat
+
+
+def is_symmetric(a) -> bool:
+    return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
+
+
+def signature(a) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric integer matrix.
+
+    Computed by congruence diagonalization over the rationals; a zero
+    diagonal with a non-zero off-diagonal entry is repaired with the
+    standard x_i -> x_i + x_j substitution.
+    """
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    pos = neg = zero = 0
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if m[i][i] != 0:
+                piv = i
+                break
+        if piv is None:
+            found = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if m[i][j] != 0:
+                        found = (i, j)
+                        break
+                if found:
+                    break
+            if found is None:
+                zero += n - k
+                break
+            i, j = found
+            # all trailing diagonal entries vanish, so this makes
+            # m[i][i] = 2*m[i][j] != 0
+            for t in range(n):
+                m[i][t] += m[j][t]
+            for t in range(n):
+                m[t][i] += m[t][j]
+            piv = i
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m:
+                row[k], row[piv] = row[piv], row[k]
+        d = m[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = m[i][k] / d
+            if f:
+                for j in range(k + 1, n):
+                    m[i][j] -= f * m[k][j]
+        for i in range(k + 1, n):
+            m[i][k] = Fraction(0)
+            m[k][i] = Fraction(0)
+    return pos, neg, zero
 
 
 def coords_strategy(rank, lo=-6, hi=6):
@@ -34,7 +95,7 @@ def test_block_grams_fixed():
 
 def test_block_grams_unimodular_and_symmetric():
     for b in g.Block:
-        assert intmat.is_symmetric(b.gram)
+        assert is_symmetric(b.gram)
         assert intmat.det(b.gram) in (1, -1)
     # the E8 form itself has determinant one
     e8 = tuple(tuple(-x for x in row) for row in g.Block.MINUS_E8.gram)
@@ -61,7 +122,7 @@ def test_make_lattice_examples():
 )
 def test_signature_matches_exact_diagonalization(spec):
     lat = g.lattice_from_spec(spec)
-    pos, neg, zero = intmat.signature(lat.gram)
+    pos, neg, zero = signature(lat.gram)
     assert zero == 0
     assert (pos, neg) == (lat.sig_pos, lat.sig_neg)
     assert intmat.det(lat.gram) in (1, -1)
@@ -215,3 +276,39 @@ def test_hclass_json_round_trip(H2):
     y = g.hclass_from_json_dict(doc)
     assert y.coords == x.coords
     assert y.lattice.gram == x.lattice.gram
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"blocks": ["X"]},
+        {"blocks": [["H"]]},
+        {"blocks": "H"},
+        {"spec": "H"},
+        {"blocks": ["H"], "basis_names": 5},
+        {"blocks": ["H"], "gram": [[0, 1.0], [1, 0]]},
+        {"blocks": ["H"], "gram": [[False, True], [True, False]]},
+        {"blocks": ["H"], "gram": [[0, "1"], [1, 0]]},
+        {"blocks": ["H"], "gram": "[[0,1],[1,0]]"},
+        ["H"],
+    ],
+)
+def test_lattice_json_malformed_is_parse_error(doc):
+    with pytest.raises(g.ParseError):
+        g.lattice_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"coords": [1, 0]},
+        {"lattice": "H"},
+        {"lattice": 2, "coords": [1, 0]},
+        {"lattice": "H", "coords": [1.5, 0]},
+        {"lattice": "H", "coords": [True, 0]},
+        {"lattice": "H", "coords": "1,0"},
+    ],
+)
+def test_hclass_json_malformed_is_parse_error(doc):
+    with pytest.raises(g.ParseError):
+        g.hclass_from_json_dict(doc)

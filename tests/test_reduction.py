@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genlat as g
-from genlat import intmat
+from genlat import intmat, reduction
 from genlat.reduction import diagonalize_ops, _apply_op
 
 
@@ -126,7 +127,7 @@ def test_reduce_even_canonical_form_is_normalized(H2):
 
 
 def test_reduce_even_with_e8_and_gcd_stage(H2E8):
-    # the a = 2, b = 0 shape forces the CRT stage through the E8 block
+    # the a = 2, b = 0 shape forces the coprime stage through the E8 block
     x = H2E8.hclass([2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
     res = g.reduce_even(H2E8, x, 0)
     assert res.canonical == H2E8.hclass([1, -1] + [0] * 10)
@@ -180,6 +181,98 @@ def test_orbit_soundness_random_pairs(H2E8):
             assert buckets[key] == res.canonical, key
         else:
             buckets[key] = res.canonical
+
+
+# -- stage 3: the coprime move --------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Miller-Rabin; deterministic for n < 3.3e24, which covers 64 bits."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+SEMIPRIME_62 = 2147483647 * 2147483629
+PRIME_120 = 2**119 + 9
+
+
+def test_stage3_inputs_are_as_stated():
+    assert _is_prime(2147483647) and _is_prime(2147483629)
+    assert SEMIPRIME_62.bit_length() == 62 and not _is_prime(SEMIPRIME_62)
+    assert PRIME_120.bit_length() == 120 and _is_prime(PRIME_120)
+
+
+@pytest.mark.parametrize("n", [SEMIPRIME_62, PRIME_120], ids=["semiprime62", "prime120"])
+def test_stage3_large_gcd_is_polynomial(e3, monkeypatch, n):
+    # after stage 2, a = b = n: stage 3 must make them coprime, and
+    # trial division up to sqrt(n) would take hours
+    calls = []
+    coprime_vector = reduction._Reducer._coprime_vector
+
+    def spy(self, a, b):
+        calls.append((a, b))
+        return coprime_vector(self, a, b)
+
+    monkeypatch.setattr(reduction._Reducer, "_coprime_vector", spy)
+    x = e3.parse_class(f"e1={n},f1={n},e3=1")
+    start = time.perf_counter()
+    res = g.reduce_in_elliptic(e3, x)
+    elapsed = time.perf_counter() - start
+    assert calls and math.gcd(*calls[0]) == n
+    assert elapsed < 0.5, f"reduction took {elapsed:.3f} s"
+    # B^2 = 2 n^2 with d = 1, so gamma = n^2 and delta = 1
+    assert res.canonical == n * n * e3.R + e3.T
+    g.verify_isometry(e3.lattice, res.certificate.matrix)
+    assert res.spinor == 1 and res.fixes_k and res.fixes_W
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(40, 64).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)),
+    st.lists(st.integers(-30, 30), min_size=4, max_size=4).filter(any),
+    st.lists(st.integers(-3, 3), min_size=28, max_size=28).filter(any),
+)
+def test_stage3_shared_large_prime(e3, start, pair, rest):
+    # the four pair coordinates (e1, f1, e2, f2) share a large prime p
+    # that no other coordinate has, so stage 2 leaves p | gcd(a, b)
+    p = _next_prime(start)
+    lat = e3.lattice
+    x = lat.hclass([0, 0] + [p * c for c in pair] + rest)
+    res = g.reduce_even(lat, x, 1, acting_blocks=range(1, len(lat.blocks)))
+    d = x.divisibility()
+    s = x.square() // (2 * d * d)
+    expected = d * (lat.basis_class("e1") + s * lat.basis_class("f1"))
+    assert res.canonical == expected
+    cert = g.verify_isometry(lat, res.certificate.matrix)
+    assert intmat.matvec(cert.matrix, x.coords) == expected.coords
+    assert g.spinor_norm(g.canonical_frame(lat), cert) == 1
+    assert g.fixes_class(cert, e3.k) and g.fixes_class(cert, e3.W)
 
 
 # -- reduce_in_elliptic ------------------------------------------------------------
@@ -315,3 +408,30 @@ def test_reduction_result_json_round_trip(H2):
     doc = res.to_json_dict()
     back = g.reduction_result_from_json_dict(doc)
     assert back.to_json_dict() == doc
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("certificate", [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ("certificate", [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ("certificate", [["x", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ("input", [1.5, 1, 1, 1]),
+        ("canonical", "1,2,0,0"),
+        ("spinor", "x"),
+        ("spinor", 1.0),
+        ("spinor", True),
+        ("spinor", 0),
+        ("fixes_k", 1),
+        ("fixes_W", "true"),
+        ("lattice", None),
+    ],
+)
+def test_reduction_result_json_malformed_is_parse_error(H2, key, value):
+    doc = g.reduce_even(H2, H2.hclass([1, 1, 1, 1]), 0).to_json_dict()
+    doc[key] = value
+    with pytest.raises(g.ParseError):
+        g.reduction_result_from_json_dict(doc)
+    del doc[key]
+    with pytest.raises(g.ParseError):
+        g.reduction_result_from_json_dict(doc)
