@@ -160,7 +160,7 @@ def _fmt_basic(rs) -> str:
     return " ".join("0" if r == 0 else f"{r}k" for r in rs)
 
 
-def _cmd_info(args, out) -> int:
+def _cmd_info(args, out, err) -> int:
     surface = _load_surface(args)
     doc = _surface_summary(surface)
     if args.json:
@@ -178,7 +178,7 @@ def _cmd_info(args, out) -> int:
     return 0
 
 
-def _cmd_basic(args, out) -> int:
+def _cmd_basic(args, out, err) -> int:
     surface = _load_surface(args)
     rs = [_k_coeff(surface, b) for b in basic_classes(surface)]
     if args.json:
@@ -188,7 +188,7 @@ def _cmd_basic(args, out) -> int:
     return 0
 
 
-def _cmd_class(args, out) -> int:
+def _cmd_class(args, out, err) -> int:
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
     doc = _class_summary(surface, a)
@@ -204,7 +204,7 @@ def _cmd_class(args, out) -> int:
     return 0
 
 
-def _cmd_genus(args, out) -> int:
+def _cmd_genus(args, out, err) -> int:
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
     verdict = min_genus(surface, a)
@@ -226,7 +226,7 @@ def _cmd_genus(args, out) -> int:
     return 0
 
 
-def _cmd_reduce(args, out) -> int:
+def _cmd_reduce(args, out, err) -> int:
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
     res = reduce_in_elliptic(surface, a)
@@ -241,7 +241,7 @@ def _cmd_reduce(args, out) -> int:
     return 0
 
 
-def _cmd_spinor(args, out) -> int:
+def _cmd_spinor(args, out, err) -> int:
     lattice, _ = _load_lattice(args)
     iso = verify_isometry(lattice, _load_matrix(args.matrix))
     nu = spinor_norm(canonical_frame(lattice), iso)
@@ -252,7 +252,7 @@ def _cmd_spinor(args, out) -> int:
     return 0
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, out, err) -> int:
     lattice, _ = _load_lattice(args)
     verify_isometry(lattice, _load_matrix(args.matrix))
     if args.json:
@@ -309,6 +309,18 @@ def _cmd_oracle(args, out, err) -> int:
     return 0
 
 
+_COMMANDS = {
+    "info": _cmd_info,
+    "basic": _cmd_basic,
+    "class": _cmd_class,
+    "genus": _cmd_genus,
+    "reduce": _cmd_reduce,
+    "spinor": _cmd_spinor,
+    "verify": _cmd_verify,
+    "oracle": _cmd_oracle,
+}
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -318,23 +330,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        if args.verb == "info":
-            return _cmd_info(args, out)
-        if args.verb == "basic":
-            return _cmd_basic(args, out)
-        if args.verb == "class":
-            return _cmd_class(args, out)
-        if args.verb == "genus":
-            return _cmd_genus(args, out)
-        if args.verb == "reduce":
-            return _cmd_reduce(args, out)
-        if args.verb == "spinor":
-            return _cmd_spinor(args, out)
-        if args.verb == "verify":
-            return _cmd_verify(args, out)
-        if args.verb == "oracle":
-            return _cmd_oracle(args, out, err)
-        raise ParseError(f"unknown verb {args.verb!r}")
+        return _COMMANDS[args.verb](args, out, err)
     except BudgetExceeded as exc:
         err.write(f"error: {exc}\n")
         return 3

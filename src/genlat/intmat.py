@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -51,7 +52,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(a: Matrix, v) -> Vector:
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def vecmat(v, a: Matrix) -> Vector:

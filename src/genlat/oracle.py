@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import intmat
-from .errors import BudgetExceeded, LatticeError, PreconditionFailed
+from .errors import BudgetExceeded, InvariantViolation, LatticeError, PreconditionFailed
 from .isometry import (
     Isometry,
     canonical_frame,
@@ -175,6 +175,8 @@ def orbit_bfs(
     Isometries preserve square and divisibility, so the truncated
     closure stays inside the seed set and the orbit counts are counts
     among the seeds reachable through in-bound intermediate vectors.
+    One sweep applies each generator to each seed once and feeds both
+    counts; the budget counts each (seed, generator) application once.
     """
     seeds = list(seeds)
     seed_coords = sorted({s.coords for s in seeds})
@@ -186,34 +188,35 @@ def orbit_bfs(
     else:
         sq = div = 0
     frame = canonical_frame(lattice)
-    spin1 = [g for g in generators if spinor_norm(frame, g) == 1]
+    gens = [(g.matrix, spinor_norm(frame, g) == 1) for g in generators]
 
+    members = set(seed_coords)
+    full, spin = _DSU(seed_coords), _DSU(seed_coords)
+    # spinor-+1 steps (matrix, image) per seed, in generator order
+    steps = {x: [] for x in seed_coords} if include_witnesses else {}
     applied = 0
-
-    def sweep(gens) -> _DSU:
-        nonlocal applied
-        dsu = _DSU(seed_coords)
-        members = set(seed_coords)
-        for x in seed_coords:
-            for g in gens:
-                y = intmat.matvec(g.matrix, x)
-                applied += 1
-                if applied > max_states:
-                    raise BudgetExceeded(
-                        f"orbit sweep exceeded {max_states} generator applications"
-                    )
-                if progress and applied % 50000 == 0:
-                    print(f"orbit-bfs: {applied} generator applications", file=progress)
-                if max(map(abs, y), default=0) <= bound:
-                    assert y in members, "generator left the seed set"
-                    dsu.union(x, y)
-        return dsu
-
-    full = sweep(generators)
-    spin = sweep(spin1)
+    for x in seed_coords:
+        out = steps.get(x)
+        for m, plus in gens:
+            y = intmat.matvec(m, x)
+            applied += 1
+            if applied > max_states:
+                raise BudgetExceeded(
+                    f"orbit sweep exceeded {max_states} generator applications"
+                )
+            if progress and applied % 50000 == 0:
+                print(f"orbit-bfs: {applied} generator applications", file=progress)
+            if max(map(abs, y), default=0) <= bound:
+                if y not in members:
+                    raise InvariantViolation("generator left the seed set")
+                full.union(x, y)
+                if plus:
+                    spin.union(x, y)
+                    if out is not None:
+                        out.append((m, y))
     witnesses = None
     if include_witnesses:
-        witnesses = _witnesses(lattice, seed_coords, spin, spin1)
+        witnesses = _witnesses(lattice, seed_coords, spin, steps)
     return OrbitReport(
         lattice=lattice,
         square=sq,
@@ -226,33 +229,33 @@ def orbit_bfs(
     )
 
 
-def _witnesses(lattice, seed_coords, dsu, gens):
+def _witnesses(lattice, seed_coords, dsu, steps):
     """(vector, canonical, certificate) per seed, from spinor-1 paths.
 
     The canonical member of each component is its lexicographic
     minimum; certificates come from composing generator matrices along
-    a breadth-first tree rooted there, then inverting.
+    a breadth-first tree rooted there, then inverting.  The tree walks
+    the recorded steps of each seed, so no generator is applied again.
     """
     comps: dict[intmat.Vector, list[intmat.Vector]] = {}
     for x in seed_coords:
         comps.setdefault(dsu.find(x), []).append(x)
     out = []
-    bound_members = set(seed_coords)
     for members in comps.values():
         root = min(members)
         reach = {root: intmat.identity(lattice.rank)}
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for g in gens:
-                y = intmat.matvec(g.matrix, x)
-                if y in bound_members and y not in reach:
-                    reach[y] = intmat.matmul(g.matrix, reach[x])
+            for m, y in steps[x]:
+                if y not in reach:
+                    reach[y] = intmat.matmul(m, reach[x])
                     queue.append(y)
         for x in members:
             m = reach[x]  # maps root to x
             cert = verify_isometry(lattice, m).inverse()
-            assert intmat.matvec(cert.matrix, x) == root
+            if intmat.matvec(cert.matrix, x) != root:
+                raise InvariantViolation("witness certificate misses its root")
             out.append((x, root, cert))
     out.sort(key=lambda item: item[0])
     return tuple(out)
@@ -349,5 +352,6 @@ def exhaustive_isometry_search(
     if matrix is None:
         return None
     iso = verify_isometry(lattice, matrix)
-    assert intmat.matvec(iso.matrix, xc) == yc
+    if intmat.matvec(iso.matrix, xc) != yc:
+        raise InvariantViolation("search result does not map x to y")
     return iso

@@ -56,6 +56,7 @@ from .lattice import (
     json_int_rows,
     json_ints,
     lattice_from_spec,
+    make_lattice,
 )
 
 
@@ -83,24 +84,37 @@ class ReductionResult:
 
 
 def reduction_result_from_json_dict(doc: dict) -> ReductionResult:
-    lat = lattice_from_spec(json_field(doc, "lattice"))
+    """Load a result, checking its claims: the certificate is an isometry
+    mapping input to canonical, with the stated spinor and fixes_k/W."""
+    lat = _document_lattice(json_field(doc, "lattice"))
     cert = verify_isometry(
         lat, json_int_rows(json_field(doc, "certificate"), "certificate")
     )
     spinor = json_field(doc, "spinor")
-    if type(spinor) is not int or spinor not in (1, -1):
-        raise ParseError(f"spinor must be 1 or -1, got {spinor!r}")
     fixes = [json_field(doc, key) for key in ("fixes_k", "fixes_W")]
-    if not all(type(f) is bool for f in fixes):
-        raise ParseError("fixes_k and fixes_W must be JSON booleans")
-    return ReductionResult(
-        input=lat.hclass(json_ints(json_field(doc, "input"), "input")),
-        canonical=lat.hclass(json_ints(json_field(doc, "canonical"), "canonical")),
-        certificate=cert,
-        spinor=spinor,
-        fixes_k=fixes[0],
-        fixes_W=fixes[1],
-    )
+    if type(spinor) is not int or not all(type(f) is bool for f in fixes):
+        raise ParseError("spinor must be an integer, fixes_k and fixes_W JSON booleans")
+    x = lat.hclass(json_ints(json_field(doc, "input"), "input"))
+    canonical = lat.hclass(json_ints(json_field(doc, "canonical"), "canonical"))
+    if cert.apply(x.coords) != canonical.coords:
+        raise ParseError("the certificate does not map input to canonical")
+    res = _result(x, canonical, cert)
+    if (res.spinor, res.fixes_k, res.fixes_W) != (spinor, *fixes):
+        raise ParseError("spinor, fixes_k or fixes_W disagrees with the certificate")
+    return res
+
+
+def _document_lattice(spec) -> Lattice:
+    """A document records only the lattice spec.  A spec laid out like an
+    elliptic-surface model (H or H', 2n - 2 H, n -E8) gets the surface's
+    basis names, so that fixes_k and fixes_W refer to its k and W."""
+    lat = lattice_from_spec(spec)
+    rest = lat.blocks[1:]
+    n = rest.count(Block.MINUS_E8)
+    surface = (Block.HYPERBOLIC,) * (2 * n - 2) + (Block.MINUS_E8,) * n
+    if n < 2 or rest != surface or lat.blocks[0] is Block.MINUS_E8:
+        return lat
+    return make_lattice(lat.blocks, ("k", "W") + make_lattice(rest).basis_names)
 
 
 # -- 2x2 elementary-addition calculus -----------------------------------------

@@ -228,22 +228,29 @@ def test_non_integer_matrix_entries_exit_2(tmp_path, matrix):
 
 def test_reduce_output_identical_under_python_O():
     # the checks that guard a certificate must survive assert stripping;
-    # the class needs stage 3 with a 62-bit semiprime gcd
+    # the class needs stage 3 with a 62-bit semiprime gcd, and the orbit
+    # run checks every image and witness certificate
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
     n = 2147483647 * 2147483629
-    argv = ["reduce", "--surface", "E(3)", "--class", f"e1={n},f1={n},e3=1", "--json"]
-    outs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", "from genlat.cli import main; main()", *argv],
-            env=env,
-            capture_output=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["spinor"] == 1
+    reduce_argv = ["reduce", "--surface", "E(3)", "--class", f"e1={n},f1={n},e3=1", "--json"]
+    orbit_argv = ["oracle", "orbit", "--lattice", "2H", "--square", "0", "--bound", "1",
+                  "--witnesses", "--json"]
+    docs = []
+    for argv in (reduce_argv, orbit_argv):
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", "from genlat.cli import main; main()", *argv],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        docs.append(json.loads(outs[0]))
+    assert docs[0]["spinor"] == 1
+    assert len(docs[1]["witnesses"]) == docs[1]["vectors_found"]

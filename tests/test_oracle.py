@@ -1,4 +1,5 @@
 import io
+from collections import deque
 
 import pytest
 
@@ -122,6 +123,123 @@ def test_orbit_agreement_with_reduction(H2):
     for x in seeds:
         res = g.reduce_even(H2, x, 0)
         assert by_vec[res.canonical.coords] == by_vec[x.coords]
+
+
+# -- orbit_bfs against a two-sweep reference ----------------------------------------
+
+class _RefDSU:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
+
+    def component_count(self):
+        return sum(1 for x in self.parent if self.find(x) == x)
+
+
+def _ref_witnesses(lattice, seed_coords, dsu, gens):
+    # breadth-first tree from each component's minimum, generators applied
+    # again in generator order
+    comps = {}
+    for x in seed_coords:
+        comps.setdefault(dsu.find(x), []).append(x)
+    out = []
+    members_all = set(seed_coords)
+    for members in comps.values():
+        root = min(members)
+        reach = {root: intmat.identity(lattice.rank)}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for gen in gens:
+                y = intmat.matvec(gen.matrix, x)
+                if y in members_all and y not in reach:
+                    reach[y] = intmat.matmul(gen.matrix, reach[x])
+                    queue.append(y)
+        for x in members:
+            cert = g.verify_isometry(lattice, reach[x]).inverse()
+            assert intmat.matvec(cert.matrix, x) == root
+            out.append((x, root, cert))
+    out.sort(key=lambda item: item[0])
+    return tuple(out)
+
+
+def _ref_orbit_bfs(lattice, seeds, generators, bound, include_witnesses=False):
+    # one full sweep per generator set and a witness tree that applies
+    # the generators again: slower, but it shares no bookkeeping with
+    # orbit_bfs
+    seeds = list(seeds)
+    seed_coords = sorted({s.coords for s in seeds})
+    sq = seeds[0].square() if seeds else 0
+    div = seeds[0].divisibility() if seeds else 0
+    frame = g.canonical_frame(lattice)
+    spin1 = [gen for gen in generators if g.spinor_norm(frame, gen) == 1]
+
+    def sweep(gens):
+        dsu = _RefDSU(seed_coords)
+        for x in seed_coords:
+            for gen in gens:
+                y = intmat.matvec(gen.matrix, x)
+                if max(map(abs, y), default=0) <= bound:
+                    assert y in dsu.parent
+                    dsu.union(x, y)
+        return dsu
+
+    full, spin = sweep(generators), sweep(spin1)
+    witnesses = None
+    if include_witnesses:
+        witnesses = _ref_witnesses(lattice, seed_coords, spin, spin1)
+    return g.OrbitReport(
+        lattice=lattice,
+        square=sq,
+        divisibility=div,
+        coord_bound=bound,
+        vectors_found=len(seed_coords),
+        orbit_count_full=full.component_count(),
+        orbit_count_spinor1=spin.component_count(),
+        witnesses=witnesses,
+    )
+
+
+@pytest.mark.parametrize("witnesses", [False, True])
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("spec", ["H", "2H"])
+def test_orbit_matches_two_sweep_reference(spec, bound, witnesses):
+    lat = g.lattice_from_spec(spec)
+    gens = g.default_generators(lat)
+    for sq in range(-4, 5):
+        for div in (1, 2):
+            seeds = g.enumerate_vectors(lat, sq, div, bound)
+            got = g.orbit_bfs(lat, seeds, gens, bound, include_witnesses=witnesses)
+            want = _ref_orbit_bfs(lat, seeds, gens, bound, include_witnesses=witnesses)
+            assert got.to_json_dict() == want.to_json_dict(), (sq, div)
+
+
+def test_orbit_budget_counts_each_application_once(H2):
+    gens = g.default_generators(H2)
+    seeds = g.enumerate_vectors(H2, 0, 1, 2)
+    exact = len(seeds) * len(gens)
+    report = g.orbit_bfs(H2, seeds, gens, 2, max_states=exact, include_witnesses=True)
+    assert report.vectors_found == len(seeds)
+    with pytest.raises(g.BudgetExceeded, match=f"exceeded {exact - 1} generator"):
+        g.orbit_bfs(H2, seeds, gens, 2, max_states=exact - 1)
+
+
+def test_orbit_progress_line_per_50000_applications(H2):
+    # 96 seeds times 13 copies of the 44 generators: 54,912 applications
+    gens = g.default_generators(H2) * 13
+    seeds = g.enumerate_vectors(H2, 0, 1, 2)
+    assert 50000 <= len(seeds) * len(gens) < 100000
+    err = io.StringIO()
+    g.orbit_bfs(H2, seeds, gens, 2, progress=err)
+    assert err.getvalue() == "orbit-bfs: 50000 generator applications\n"
 
 
 # -- exhaustive search --------------------------------------------------------------

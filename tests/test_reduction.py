@@ -435,3 +435,63 @@ def test_reduction_result_json_malformed_is_parse_error(H2, key, value):
     del doc[key]
     with pytest.raises(g.ParseError):
         g.reduction_result_from_json_dict(doc)
+
+
+def test_reduction_result_json_with_false_claims_is_parse_error(H2):
+    # a well-formed document whose canonical, spinor and fixes_k are all
+    # wrong for its certificate, which maps the input to (1, 2, 0, 0)
+    doc = g.reduce_even(H2, H2.hclass([1, 1, 1, 1]), 0).to_json_dict()
+    assert doc["canonical"] == [1, 2, 0, 0]
+    doc.update(canonical=[7, 7, 7, 7], spinor=-1, fixes_k=False)
+    with pytest.raises(g.ParseError):
+        g.reduction_result_from_json_dict(doc)
+
+
+def _reflection_doc(e3):
+    # reflection in -k - W - e1 + f1: spinor -1, moves both k and W
+    lat = e3.lattice
+    v = lat.hclass((-1, -1, -1, 1) + (0,) * (lat.rank - 4))
+    r = g.reflection(lat, v)
+    x = e3.parse_class("e1=1,f1=2")
+    return {
+        "lattice": lat.spec,
+        "input": list(x.coords),
+        "canonical": list(r(x).coords),
+        "certificate": [list(row) for row in r.matrix],
+        "spinor": -1,
+        "fixes_k": False,
+        "fixes_W": False,
+    }
+
+
+def test_reduction_result_json_true_claims_load(e3):
+    doc = _reflection_doc(e3)
+    assert g.reduction_result_from_json_dict(doc).to_json_dict() == doc
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("canonical", "input"),
+        ("spinor", 1),
+        ("fixes_k", True),
+        ("fixes_W", True),
+    ],
+)
+def test_reduction_result_json_one_false_claim_is_parse_error(e3, key, value):
+    doc = _reflection_doc(e3)
+    doc[key] = doc[value] if value == "input" else value
+    with pytest.raises(g.ParseError):
+        g.reduction_result_from_json_dict(doc)
+
+
+def test_surface_reduction_json_round_trip(k3, e3):
+    # the document records only the lattice spec; a surface-model spec
+    # is read back with k and W named, so false fixes claims still load
+    results = [
+        g.reduce_in_elliptic(k3, k3.parse_class("k=1,W=1")),
+        g.sphere_reduction(e3, e3.parse_class("k=1,e1=1,f1=-1")),
+    ]
+    assert [(r.fixes_k, r.fixes_W) for r in results] == [(False, False), (True, False)]
+    for res in results:
+        assert g.reduction_result_from_json_dict(res.to_json_dict()) == res
