@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .errors import (
     BadParameters,
+    InvariantViolation,
     LatticeMismatch,
     ParseError,
     PreconditionFailed,
@@ -188,7 +189,8 @@ def adjunction_bound(surface: EllipticSurface, a: HClass) -> tuple[int, bool]:
     sq = a.square()
     ka = abs(surface.d * a.dot(surface.k))
     total = sq + ka
-    assert total % 2 == 0  # K is characteristic
+    if total % 2 != 0:
+        raise InvariantViolation("A^2 + |K.A| is odd, so K is not characteristic")
     return max(0, total // 2 + 1), sq < 0
 
 
@@ -210,7 +212,8 @@ def min_genus(surface: EllipticSurface, a: HClass) -> GenusVerdict:
             cert = reduce_in_elliptic(surface, a)
             return _exact(c, bound, Rule.COR_K3, cert)
     elif a.dot(surface.k) == 0:
-        assert sq % 2 == 0  # orthogonal to a characteristic class
+        if sq % 2 != 0:
+            raise InvariantViolation("a class orthogonal to K has odd square")
         if sq == -2:
             return _exact(0, bound, Rule.PROP_MINUS2, sphere_reduction(surface, a))
         if sq >= 0:
@@ -229,8 +232,10 @@ def min_genus(surface: EllipticSurface, a: HClass) -> GenusVerdict:
 
 
 def _exact(c: int, bound: int, rule: Rule, cert: ReductionResult | None) -> GenusVerdict:
-    assert c >= bound, "realized genus below the adjunction bound"
-    assert c == bound, "exact rules must meet the adjunction bound"
+    if c < bound:
+        raise InvariantViolation("realized genus below the adjunction bound")
+    if c != bound:
+        raise InvariantViolation("exact rules must meet the adjunction bound")
     return GenusVerdict(
         lower_bound=bound,
         realized=c,
@@ -252,7 +257,8 @@ def km_scaled_genus(g: int, sq: int, r: int) -> int:
     if sq == 0 and g < 1:
         raise PreconditionFailed("square zero needs genus at least 1")
     total = r * (2 * g - 2 - sq) + r * r * sq + 2
-    assert total % 2 == 0
+    if total % 2 != 0:
+        raise InvariantViolation("scaled genus formula gave an odd 2g")
     return total // 2
 
 

@@ -16,7 +16,15 @@ Vector = tuple[int, ...]
 
 
 def identity(n: int) -> Matrix:
-    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+    return tuple(map(tuple, identity_rows(n)))
+
+
+def identity_rows(n: int) -> list[list[int]]:
+    """The identity as mutable rows, for building a matrix in place."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -44,11 +52,23 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
     Finding the non-zeros is a C-level scan, so the Python-level work
     is the count of non-zero products: certificates are the identity
-    plus a low-rank term and mostly zero.
+    plus a low-rank term and mostly zero.  A row of b is scanned when a
+    non-zero entry of a first reaches it.
     """
     cols = len(b[0]) if b else 0
-    rows = [_nonzeros(row) for row in b]
-    return tuple(_combine(row, rows, cols) for row in a)
+    rows = [None] * len(b)
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k in compress(range(len(row)), row):
+            nz = rows[k]
+            if nz is None:
+                nz = rows[k] = _nonzeros(b[k])
+            x = row[k]
+            for j, y in nz:
+                acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def matvec(a: Matrix, v) -> Vector:
@@ -74,7 +94,7 @@ def add_outer(m: list[list[int]], a, b) -> None:
 
 def identity_plus(n: int, terms) -> Matrix:
     """I + sum of a b^T over the (a, b) pairs in terms."""
-    m = [list(row) for row in identity(n)]
+    m = identity_rows(n)
     for a, b in terms:
         add_outer(m, a, b)
     return tuple(map(tuple, m))

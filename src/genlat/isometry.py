@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from . import intmat
 from .errors import (
@@ -81,26 +82,53 @@ def identity_isometry(lattice: Lattice) -> Isometry:
 def verify_isometry(lattice: Lattice, matrix) -> Isometry:
     """Return the certificate iff M^T G M = G holds exactly.
 
-    Every entry of M^T G M is computed and compared with G; the sparse
-    products only skip terms with a zero factor.
+    The check is exact and deterministic; nothing is sampled.  The
+    difference E = M^T G M - G is symmetric, and its entry
+    E[i][j] = m_i^T G m_j - G[i][j] vanishes identically when the columns
+    m_i and m_j are the unit columns e_i and e_j.  So every entry of E
+    that can be non-zero lies in a row i, or by symmetry a column i,
+    whose column m_i is not e_i.  Those rows are computed in full, as
+    (G m_i)^T M, and compared with G[i]; the cost follows the columns
+    the certificate moves, not n^2.
     """
     m = tuple(tuple(map(int, row)) for row in matrix)
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise NotAnIsometry(f"matrix must be {n}x{n}")
+    return _checked_isometry(lattice, m)
+
+
+def _checked_isometry(lattice: Lattice, m: intmat.Matrix) -> Isometry:
+    """The exact check of verify_isometry, for an n x n tuple of int rows.
+
+    Certificates built in this package come here directly: they need no
+    entry conversion or shape check.
+    """
+    n = lattice.rank
+    cols = intmat.transpose(m)
+    moved = [i for i, col in enumerate(cols) if not _is_unit(col, i)]
+    rows = intmat.matmul([lattice.gram_apply(cols[i]) for i in moved], m)
     g = lattice.gram
-    # G is symmetric, so the rows of M^T G are (G m_j)^T for the columns m_j
-    mt_g = tuple(lattice.gram_apply(col) for col in intmat.transpose(m))
-    check = intmat.matmul(mt_g, m)
-    if check != g:
-        i, j = next(
-            (i, j) for i in range(n) for j in range(n) if check[i][j] != g[i][j]
-        )
+    wrong = []
+    for i, row in zip(moved, rows):
+        if row != g[i]:
+            j = next(j for j in range(n) if row[j] != g[i][j])
+            # the first wrong entry in row-major order is the first of
+            # (i, j) and its mirror (j, i) over the moved rows
+            wrong.append((min((i, j), (j, i)), row[j], g[i][j]))
+    if wrong:
+        (i, j), got, want = min(wrong)
         raise NotAnIsometry(
-            f"(M^T G M)[{i}][{j}] = {check[i][j]}, expected {g[i][j]}",
-            entry=(i, j),
+            f"(M^T G M)[{i}][{j}] = {got}, expected {want}", entry=(i, j)
         )
-    return Isometry(lattice, m)
+    iso = Isometry(lattice, m)
+    iso.__dict__["_columns"] = cols  # seeds the cached_property
+    return iso
+
+
+def _is_unit(col, i: int) -> bool:
+    """Is col the unit column e_i?  Both scans run in C."""
+    return col[i] == 1 and col.count(0) == len(col) - 1
 
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
@@ -133,7 +161,7 @@ def reflection(lattice: Lattice, v: HClass) -> Isometry:
             )
         coeffs.append(-(num // v2))
     m = intmat.identity_plus(lattice.rank, [(v.coords, coeffs)])
-    return verify_isometry(lattice, m)
+    return _checked_isometry(lattice, m)
 
 
 def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
@@ -157,7 +185,7 @@ def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
     h = v2 // 2
     minus_z = tuple(-(a + h * b) for a, b in zip(v.coords, u.coords))
     m = intmat.identity_plus(lattice.rank, [(u.coords, gv), (minus_z, gu)])
-    return verify_isometry(lattice, m)
+    return _checked_isometry(lattice, m)
 
 
 def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:
@@ -170,7 +198,7 @@ def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:
         tuple((-1 if r in flip else 1) * int(i == r) for i in range(n))
         for r in range(n)
     )
-    return verify_isometry(lattice, m)
+    return _checked_isometry(lattice, m)
 
 
 # -- spinor norm --------------------------------------------------------------
@@ -189,6 +217,27 @@ class SpinorFrame:
             self.lattice.gram_apply(col) for col in intmat.transpose(self.matrix)
         )
 
+    @cached_property
+    def _gram(self) -> intmat.Matrix:
+        """P^T G P."""
+        return intmat.matmul(self._pt_gram, self.matrix)
+
+    @cached_property
+    def _sparse(self) -> tuple[tuple, tuple]:
+        """(index, entry) pairs of each frame column p and each row G p."""
+        def nz(row):
+            return tuple((j, x) for j, x in enumerate(row) if x)
+
+        return (
+            tuple(map(nz, intmat.transpose(self.matrix))),
+            tuple(map(nz, self._pt_gram)),
+        )
+
+    @cached_property
+    def _diagonal(self) -> bool:
+        d = self._gram
+        return all(not x or i == j for i, row in enumerate(d) for j, x in enumerate(row))
+
 
 def make_frame(lattice: Lattice, columns) -> SpinorFrame:
     cols = [tuple(c.coords) if isinstance(c, HClass) else tuple(c) for c in columns]
@@ -199,7 +248,7 @@ def make_frame(lattice: Lattice, columns) -> SpinorFrame:
     p = tuple(tuple(col[r] for col in cols) for r in range(lattice.rank))
     frame = SpinorFrame(lattice, p)
     # Sylvester: positive definite iff every leading principal minor is > 0
-    minors = intmat.leading_minors(intmat.matmul(frame._pt_gram, p))
+    minors = intmat.leading_minors(frame._gram)
     if any(d <= 0 for d in minors):
         raise DegenerateFrame("frame is not positive definite")
     return frame
@@ -220,14 +269,40 @@ def canonical_frame(lattice: Lattice) -> SpinorFrame:
 
 
 def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
-    """+1 iff m preserves the orientation of the positive part."""
+    """+1 iff m preserves the orientation of the positive part.
+
+    B = P^T G M P is built a column at a time, as P^T G (M p) from the
+    columns of M; a frame column p that M fixes gives the column of
+    D = P^T G P.  When D is diagonal, as for canonical_frame, expanding
+    det B along each column equal to its column of D leaves a positive
+    diagonal entry of D as a factor, so only the frame indices whose
+    column of B differs from D enter the determinant.  Other frames
+    take the full determinant.
+    """
     if frame.lattice is not m.lattice and frame.lattice != m.lattice:
         raise LatticeMismatch("frame and isometry live over different lattices")
-    b = intmat.matmul(frame._pt_gram, intmat.matmul(m.matrix, frame.matrix))
-    d = intmat.det(b)
-    if d == 0:
+    n = m.lattice.rank
+    cols = m._columns
+    d = frame._gram
+    p_cols, gp_rows = frame._sparse
+    bt = []  # the columns of B, i.e. the rows of B^T
+    for b, p in enumerate(p_cols):
+        if all(_is_unit(cols[k], k) for k, _ in p):
+            bt.append(d[b])  # M p = p; D is symmetric
+            continue
+        mp = [0] * n
+        for k, c in p:
+            col = cols[k]
+            for r in compress(range(n), col):
+                mp[r] += c * col[r]
+        bt.append(tuple(sum(g * mp[j] for j, g in gp) for gp in gp_rows))
+    if frame._diagonal:
+        keep = [b for b, col in enumerate(bt) if col != d[b]]
+        bt = [[bt[c][a] for a in keep] for c in keep]
+    det = intmat.det(bt)
+    if det == 0:
         raise DegenerateFrame("det(P^T G M P) = 0; input is not an isometry")
-    return 1 if d > 0 else -1
+    return 1 if det > 0 else -1
 
 
 class Realizability(Enum):

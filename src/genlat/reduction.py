@@ -40,6 +40,7 @@ from .errors import (
 )
 from .isometry import (
     Isometry,
+    _checked_isometry,
     canonical_frame,
     compose,
     fixes_class,
@@ -85,36 +86,46 @@ class ReductionResult:
 
 def reduction_result_from_json_dict(doc: dict) -> ReductionResult:
     """Load a result, checking its claims: the certificate is an isometry
-    mapping input to canonical, with the stated spinor and fixes_k/W."""
-    lat = _document_lattice(json_field(doc, "lattice"))
+    mapping input to canonical, with the stated spinor and fixes_k/W.
+
+    The result lives over the first lattice of ``_document_lattices``
+    under which every claim holds."""
+    lattices = _document_lattices(json_field(doc, "lattice"))
     cert = verify_isometry(
-        lat, json_int_rows(json_field(doc, "certificate"), "certificate")
+        lattices[0], json_int_rows(json_field(doc, "certificate"), "certificate")
     )
     spinor = json_field(doc, "spinor")
     fixes = [json_field(doc, key) for key in ("fixes_k", "fixes_W")]
     if type(spinor) is not int or not all(type(f) is bool for f in fixes):
         raise ParseError("spinor must be an integer, fixes_k and fixes_W JSON booleans")
-    x = lat.hclass(json_ints(json_field(doc, "input"), "input"))
-    canonical = lat.hclass(json_ints(json_field(doc, "canonical"), "canonical"))
+    x = lattices[0].hclass(json_ints(json_field(doc, "input"), "input"))
+    canonical = lattices[0].hclass(json_ints(json_field(doc, "canonical"), "canonical"))
     if cert.apply(x.coords) != canonical.coords:
         raise ParseError("the certificate does not map input to canonical")
-    res = _result(x, canonical, cert)
-    if (res.spinor, res.fixes_k, res.fixes_W) != (spinor, *fixes):
-        raise ParseError("spinor, fixes_k or fixes_W disagrees with the certificate")
-    return res
+    for lat in lattices:
+        res = _result(
+            lat.hclass(x.coords), lat.hclass(canonical.coords), Isometry(lat, cert.matrix)
+        )
+        if (res.spinor, res.fixes_k, res.fixes_W) == (spinor, *fixes):
+            return res
+    raise ParseError("spinor, fixes_k or fixes_W disagrees with the certificate")
 
 
-def _document_lattice(spec) -> Lattice:
-    """A document records only the lattice spec.  A spec laid out like an
-    elliptic-surface model (H or H', 2n - 2 H, n -E8) gets the surface's
-    basis names, so that fixes_k and fixes_W refer to its k and W."""
+def _document_lattices(spec) -> tuple[Lattice, ...]:
+    """The lattices a document's spec can stand for.
+
+    A document records only the lattice spec.  A spec laid out like an
+    elliptic-surface model (H or H', 2n - 2 H, n -E8) may come from a
+    surface, whose k and W fixes_k and fixes_W then refer to, or from
+    the bare spec with its default basis names; the surface comes first.
+    """
     lat = lattice_from_spec(spec)
     rest = lat.blocks[1:]
     n = rest.count(Block.MINUS_E8)
     surface = (Block.HYPERBOLIC,) * (2 * n - 2) + (Block.MINUS_E8,) * n
     if n < 2 or rest != surface or lat.blocks[0] is Block.MINUS_E8:
-        return lat
-    return make_lattice(lat.blocks, ("k", "W") + make_lattice(rest).basis_names)
+        return (lat,)
+    return (make_lattice(lat.blocks, ("k", "W") + make_lattice(rest).basis_names), lat)
 
 
 # -- 2x2 elementary-addition calculus -----------------------------------------
@@ -269,9 +280,8 @@ class _Reducer:
         yu = pair(u, self.y)
         yv = pair(v, self.y)
         v2 = pair(v, v)
-        assert pair(u, u) == 0
-        assert pair(u, v) == 0
-        assert v2 % 2 == 0
+        if pair(u, u) != 0 or pair(u, v) != 0 or v2 % 2 != 0:
+            raise InvariantViolation("E_{u,v} needs u.u = 0, u.v = 0 and v.v even")
         cu = yv - (v2 // 2) * yu
         for r in range(self.lattice.rank):
             self.y[r] += cu * u[r] - yu * v[r]
@@ -312,7 +322,8 @@ class _Reducer:
         # stage 2: diagonalize the pair matrix
         ops, _ = diagonalize_ops(self.pair_matrix())
         self.replay(ops)
-        assert y[self.e2] == 0 and y[self.f2] == 0 and y[self.e1] != 0
+        if y[self.e2] != 0 or y[self.f2] != 0 or y[self.e1] == 0:
+            raise InvariantViolation("stage 2 left the pair matrix off diagonal")
         # stage 3: force gcd(a, b) = 1, borrowing from w
         a, b = y[self.e1], y[self.f1]
         if math.gcd(a, b) != 1:
@@ -322,16 +333,14 @@ class _Reducer:
         # stage 4: reach a = 1 exactly
         ops, final = diagonalize_ops(self.pair_matrix(), corner_one=True)
         self.replay(ops)
-        assert y[self.e1] == 1 and y[self.e2] == 0 and y[self.f2] == 0
+        if y[self.e1] != 1 or y[self.e2] != 0 or y[self.f2] != 0:
+            raise InvariantViolation("stage 4 did not reach a = 1")
         # stage 5: absorb w
         w = self.rest_component()
         if any(w):
             self.move(self._unit(self.f1), w)
-        assert all(
-            y[i] == 0
-            for i in range(self.lattice.rank)
-            if i not in (self.e1, self.f1)
-        )
+        if any(y[i] for i in range(self.lattice.rank) if i not in (self.e1, self.f1)):
+            raise InvariantViolation("stage 5 left the class outside the target block")
 
     def _coprime_vector(self, a: int, b: int) -> list[int]:
         # One move E_{f1, v} sends b to b + w.v - (v^2/2) a, so
@@ -361,7 +370,7 @@ class _Reducer:
 
     def certificate_matrix(self) -> intmat.Matrix:
         lattice = self.lattice
-        m = [list(row) for row in intmat.identity(lattice.rank)]
+        m = intmat.identity_rows(lattice.rank)
         for u, v in self.moves:
             # E_{u,v} = I + u (Gv)^T - (v + (v^2/2) u) (Gu)^T
             gu = lattice.gram_apply(u)
@@ -397,17 +406,28 @@ def reduce_even(
     if x.is_zero:
         raise ZeroClass("cannot reduce the zero class")
     acting = tuple(acting_blocks) if acting_blocks is not None else _default_acting(lattice)
+    cert, canonical = _reduce_even(lattice, x, target_block, acting)
+    return _result(x, canonical, cert)
+
+
+def _reduce_even(lattice: Lattice, x: HClass, target_block: int, acting):
+    """The checked certificate and canonical form of reduce_even, without
+    the spinor norm and k/W checks of a ReductionResult."""
     d = x.divisibility()
     prim = tuple(c // d for c in x.coords)
     red = _Reducer(lattice, prim, target_block, acting)
     red.run()
-    matrix = red.certificate_matrix()
-    cert = verify_isometry(lattice, matrix)
+    cert = _checked_isometry(lattice, red.certificate_matrix())
     canonical = lattice.hclass(tuple(d * c for c in red.y))
-    assert cert.apply(x.coords) == canonical.coords
-    assert canonical.square() == x.square()
-    assert canonical.divisibility() == d
-    return _result(x, canonical, cert)
+    _check_image(cert, x, canonical)
+    return cert, canonical
+
+
+def _check_image(cert: Isometry, x: HClass, canonical: HClass) -> None:
+    if cert.apply(x.coords) != canonical.coords:
+        raise InvariantViolation("the certificate does not map the class to its canonical form")
+    if canonical.square() != x.square() or canonical.divisibility() != x.divisibility():
+        raise InvariantViolation("the canonical form changed the square or the divisibility")
 
 
 def _result(x: HClass, canonical: HClass, cert: Isometry) -> ReductionResult:
@@ -459,23 +479,20 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
     if b.is_zero:
         return _result(a_class, a_class, identity_isometry(lattice))
     acting = tuple(range(1, len(lattice.blocks)))
-    inner = reduce_even(lattice, b, _RT_BLOCK, acting_blocks=acting)
+    cert, _ = _reduce_even(lattice, b, _RT_BLOCK, acting)
     d = b.divisibility()
     s = b.square() // (2 * d * d)
     if s > 0:
         # swap R and T so that gamma carries the composite factor
-        swap = reflection(lattice, surface.R - surface.T)
-        cert = compose(swap, inner.certificate)
+        cert = compose(reflection(lattice, surface.R - surface.T), cert)
         gamma, delta = d * s, d
     else:
-        cert = inner.certificate
         gamma, delta = d, d * s  # delta <= 0, zero iff B^2 = 0
     canonical = a * surface.k + gamma * surface.R + delta * surface.T
-    assert cert.apply(a_class.coords) == canonical.coords
-    assert canonical.square() == a_class.square()
-    assert canonical.divisibility() == a_class.divisibility()
+    _check_image(cert, a_class, canonical)
     res = _result(a_class, canonical, cert)
-    assert res.spinor == 1 and res.fixes_k and res.fixes_W
+    if res.spinor != 1 or not (res.fixes_k and res.fixes_W):
+        raise InvariantViolation("the certificate must have spinor norm +1 and fix k and W")
     return res
 
 
@@ -488,10 +505,10 @@ def phi_isometry(surface, alpha: int) -> Isometry:
     lattice = surface.lattice
     alpha = int(alpha)
     n = lattice.rank
-    m = [list(row) for row in intmat.identity(n)]
+    m = intmat.identity_rows(n)
     m[2][1] = alpha   # W column gains alpha R
     m[0][3] = -alpha  # T column gains -alpha k
-    return verify_isometry(lattice, m)
+    return _checked_isometry(lattice, tuple(map(tuple, m)))
 
 
 def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
@@ -512,12 +529,14 @@ def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
     b_coords[0] = 0
     b = lattice.hclass(b_coords)
     acting = tuple(range(1, len(lattice.blocks)))
-    inner = reduce_even(lattice, b, _RT_BLOCK, acting_blocks=acting)
+    inner, _ = _reduce_even(lattice, b, _RT_BLOCK, acting)
     # inner canonical is R - T; reflect in R - T to land on S = T - R
     flip = reflection(lattice, surface.R - surface.T)
-    cert = compose(phi_isometry(surface, a), compose(flip, inner.certificate))
+    cert = compose(phi_isometry(surface, a), compose(flip, inner))
     canonical = surface.S
-    assert cert.apply(a_class.coords) == canonical.coords
+    if cert.apply(a_class.coords) != canonical.coords:
+        raise InvariantViolation("the certificate does not map the class to S")
     res = _result(a_class, canonical, cert)
-    assert res.spinor == 1 and res.fixes_k
+    if res.spinor != 1 or not res.fixes_k:
+        raise InvariantViolation("the certificate must have spinor norm +1 and fix k")
     return res

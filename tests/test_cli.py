@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -226,24 +227,52 @@ def test_non_integer_matrix_entries_exit_2(tmp_path, matrix):
         _assert_typed_error(*call([verb, "--lattice", "H", "--matrix", str(path)]))
 
 
+# a reduction whose certificate has one entry of a unit column corrupted:
+# the last basis vector, in the last E8 block, which the class leaves alone
+_CORRUPT_CERTIFICATE = """
+import genlat as g
+from genlat import reduction
+
+build = reduction._Reducer.certificate_matrix
+
+
+def corrupt(self):
+    m = [list(row) for row in build(self)]
+    j = len(m) - 1
+    print("unit column", all(m[i][j] == (i == j) for i in range(len(m))))
+    m[j][j] = 2
+    return tuple(map(tuple, m))
+
+
+reduction._Reducer.certificate_matrix = corrupt
+s = g.parse_surface("E(3)")
+try:
+    g.reduce_in_elliptic(s, s.parse_class("e1=3,f1=5,e2=2,f2=-1"))
+except g.NotAnIsometry as exc:
+    print("NotAnIsometry", exc.entry)
+"""
+
+
 def test_reduce_output_identical_under_python_O():
     # the checks that guard a certificate must survive assert stripping;
-    # the class needs stage 3 with a 62-bit semiprime gcd, and the orbit
-    # run checks every image and witness certificate
+    # the class needs stage 3 with a 62-bit semiprime gcd, the orbit run
+    # checks every image and witness certificate, and the corrupted
+    # certificate must be refused
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
+    cli = "from genlat.cli import main; main()"
     n = 2147483647 * 2147483629
     reduce_argv = ["reduce", "--surface", "E(3)", "--class", f"e1={n},f1={n},e3=1", "--json"]
     orbit_argv = ["oracle", "orbit", "--lattice", "2H", "--square", "0", "--bound", "1",
                   "--witnesses", "--json"]
-    docs = []
-    for argv in (reduce_argv, orbit_argv):
+    stdouts = []
+    for code, argv in ((cli, reduce_argv), (cli, orbit_argv), (_CORRUPT_CERTIFICATE, [])):
         outs = []
         for flags in ([], ["-O"]):
             proc = subprocess.run(
-                [sys.executable, *flags, "-c", "from genlat.cli import main; main()", *argv],
+                [sys.executable, *flags, "-c", code, *argv],
                 env=env,
                 capture_output=True,
                 timeout=120,
@@ -251,6 +280,19 @@ def test_reduce_output_identical_under_python_O():
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        docs.append(json.loads(outs[0]))
-    assert docs[0]["spinor"] == 1
-    assert len(docs[1]["witnesses"]) == docs[1]["vectors_found"]
+        stdouts.append(outs[0])
+    reduced, orbit = (json.loads(out) for out in stdouts[:2])
+    assert reduced["spinor"] == 1
+    assert len(orbit["witnesses"]) == orbit["vectors_found"]
+    assert stdouts[2].decode().splitlines() == ["unit column True", "NotAnIsometry (30, 33)"]
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so no check in the library may
+    # be one; InvariantViolation is the type for internal postconditions
+    src = Path(__file__).resolve().parents[1] / "src" / "genlat"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

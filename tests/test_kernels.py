@@ -6,7 +6,9 @@ has no shortcut to get wrong.
 """
 
 import random
+from fractions import Fraction
 from functools import cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import genlat as g
 from genlat import intmat
 
-from conftest import random_isometry
+from conftest import generator_pool, random_isometry
 
 # -- dense references ------------------------------------------------------------
 
@@ -210,3 +212,94 @@ def test_verify_accepts_the_unperturbed_certificates():
         lat, m = _certificate(spec)
         assert dense_mt_g_m(lat.gram, m) == lat.gram
         assert g.verify_isometry(lat, m).matrix == m
+
+
+def _moved_columns(m):
+    n = len(m)
+    return [j for j in range(n) if any(m[i][j] != (i == j) for i in range(n))]
+
+
+@settings(max_examples=25)
+@pytest.mark.parametrize("spec", ["E(6)", "E(2;2,3)"])
+@pytest.mark.parametrize("where", ["moved", "unit"])
+@given(data=st.data())
+def test_verify_matches_dense_in_moved_and_unit_columns(spec, where, data):
+    # the check computes only the rows of moved columns; a perturbation
+    # in a unit column moves that column, and must still be found
+    lat, m = _certificate(spec)
+    n = lat.rank
+    moved = _moved_columns(m)
+    cols = moved if where == "moved" else sorted(set(range(n)) - set(moved))
+    j = data.draw(st.sampled_from(cols), label="col")
+    i = data.draw(st.integers(0, n - 1), label="row")
+    delta = data.draw(st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG)).filter(bool), label="delta")
+    bad = [list(row) for row in m]
+    bad[i][j] += delta
+    check = dense_mt_g_m(lat.gram, bad)
+    wrong = [(r, c) for r in range(n) for c in range(n) if check[r][c] != lat.gram[r][c]]
+    if not wrong:
+        assert g.verify_isometry(lat, bad).matrix == tuple(map(tuple, bad))
+        return
+    with pytest.raises(g.NotAnIsometry) as exc:
+        g.verify_isometry(lat, bad)
+    # the first wrong entry in row-major order, as a full check finds it
+    assert exc.value.entry == wrong[0]
+
+
+def _fraction_det(a):
+    """Textbook Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+@cache
+def _spinor_setup(spec):
+    """The surface, its generator pool, and the canonical frame next to a
+    frame with columns p_0, p_1 + p_0, p_2 + p_1, ... whose Gram is not
+    diagonal."""
+    s = g.parse_surface(spec)
+    lat = s.lattice
+    canonical = g.canonical_frame(lat)
+    p = list(zip(*canonical.matrix))
+    skew = g.make_frame(
+        lat, [p[0]] + [tuple(map(add, p[b], p[b - 1])) for b in range(1, len(p))]
+    )
+    return s, generator_pool(lat), (canonical, skew)
+
+
+@settings(max_examples=40)
+@pytest.mark.parametrize("spec", ["E(3)", "E(2;2,3)"])
+@given(seed=st.integers(0, 2**32), steps=st.integers(0, 5), flip=st.booleans())
+def test_spinor_norm_matches_dense_determinant(spec, seed, steps, flip):
+    s, pool, frames = _spinor_setup(spec)
+    lat = s.lattice
+    iso = random_isometry(lat, random.Random(seed), pool, steps=steps)
+    if flip:  # the reflection in R + T, of square 2, has spinor norm -1
+        iso = g.compose(g.reflection(lat, s.R + s.T), iso)
+    assert not frames[1]._diagonal
+    for frame in frames:
+        p = frame.matrix
+        b = dense_matmul(dense_matmul(tuple(zip(*p)), lat.gram), dense_matmul(iso.matrix, p))
+        d = _fraction_det(b)
+        assert d != 0
+        assert g.spinor_norm(frame, iso) == (1 if d > 0 else -1)
+
+
+def test_spinor_norm_of_the_reflection_in_r_plus_t():
+    for spec in ("E(3)", "E(2;2,3)"):
+        s, _, frames = _spinor_setup(spec)
+        r = g.reflection(s.lattice, s.R + s.T)
+        assert [g.spinor_norm(f, r) for f in frames] == [-1, -1]

@@ -495,3 +495,14 @@ def test_surface_reduction_json_round_trip(k3, e3):
     assert [(r.fixes_k, r.fixes_W) for r in results] == [(False, False), (True, False)]
     for res in results:
         assert g.reduction_result_from_json_dict(res.to_json_dict()) == res
+
+
+def test_reduction_json_on_a_surface_shaped_spec_with_default_names():
+    # 3H,2E8- is laid out like the E(2) model, but this lattice has the
+    # default names e1, f1, ...: the certificate moves e1, which the
+    # surface reading would call k, and the true document must load back
+    lat = g.lattice_from_spec("3H,2E8-")
+    res = g.reduce_even(lat, lat.hclass((1, 1, 1, 1) + (0,) * (lat.rank - 4)), 0)
+    assert (res.spinor, res.fixes_k, res.fixes_W) == (1, True, True)
+    assert not g.fixes_class(res.certificate, lat.basis_class(0))
+    assert g.reduction_result_from_json_dict(res.to_json_dict()) == res
