@@ -119,6 +119,8 @@ def _load_matrix(path: str):
         raise ParseError(f"matrix file {path!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"matrix file {path!r} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer longer than int() converts
+        raise ParseError(f"matrix file {path!r} holds a number with too many digits") from None
     return json_int_rows(doc, f"matrix file {path!r}")
 
 
@@ -148,12 +150,8 @@ def _surface_summary(surface: EllipticSurface) -> dict:
         "rank": surface.lattice.rank,
         "sig_pos": surface.lattice.sig_pos,
         "sig_neg": surface.lattice.sig_neg,
-        "basic_classes": [_k_coeff(surface, b) for b in basic_classes(surface)],
+        "basic_classes": [b.coords[0] for b in basic_classes(surface)],
     }
-
-
-def _k_coeff(surface: EllipticSurface, b: HClass) -> int:
-    return b.coords[0]
 
 
 def _fmt_basic(rs) -> str:
@@ -180,7 +178,7 @@ def _cmd_info(args, out, err) -> int:
 
 def _cmd_basic(args, out, err) -> int:
     surface = _load_surface(args)
-    rs = [_k_coeff(surface, b) for b in basic_classes(surface)]
+    rs = [b.coords[0] for b in basic_classes(surface)]
     if args.json:
         _emit_json({"surface": surface.spec, "basic_classes": rs}, out)
         return 0

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionFailed,
     ZeroClass,
 )
-from .lattice import Block, HClass, Lattice, make_lattice, parse_class
+from .lattice import Block, HClass, Lattice, check_rank, decimal_int, make_lattice, parse_class
 from .reduction import ReductionResult, reduce_in_elliptic, sphere_reduction
 
 _CLASS_ALIASES = {"R": "e1", "T": "f1"}
@@ -88,6 +88,7 @@ def make_surface(n: int, p: int = 1, q: int = 1) -> EllipticSurface:
         raise BadParameters("p and q must be positive")
     if math.gcd(p, q) != 1:
         raise BadParameters("p and q must be coprime")
+    check_rank(12 * n - 2)
     d = n * p * q - p - q
     spin = d % 2 == 0
     l = 2 * n - 2
@@ -111,9 +112,7 @@ def parse_surface(text: str) -> EllipticSurface:
     m = _SURFACE_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad surface spec {text!r}; expected E(n) or E(n;p,q)")
-    n = int(m.group(1))
-    p = int(m.group(2)) if m.group(2) else 1
-    q = int(m.group(3)) if m.group(3) else 1
+    n, p, q = (decimal_int(g, "surface parameter") if g else 1 for g in m.groups())
     return make_surface(n, p, q)
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Matrices are tuples of tuples of Python ints, so all arithmetic is
 arbitrary precision.  Nothing in this package touches floating point:
@@ -7,7 +7,6 @@ determinant signs and inertia counts are certificates and must be exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from operator import mul
 
@@ -34,16 +33,6 @@ def transpose(a: Matrix) -> Matrix:
 def _nonzeros(row) -> list[tuple[int, int]]:
     """(index, entry) for each non-zero entry; the scan runs in C."""
     return [(j, row[j]) for j in compress(range(len(row)), row)]
-
-
-def _combine(coeffs, rows, cols: int) -> Vector:
-    """sum_k coeffs[k] * rows[k] for rows given as non-zero entry lists."""
-    acc = [0] * cols
-    for k in compress(range(len(coeffs)), coeffs):
-        x = coeffs[k]
-        for j, y in rows[k]:
-            acc[j] += x * y
-    return tuple(acc)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -79,8 +68,12 @@ def vecmat(v, a: Matrix) -> Vector:
     """Row vector times matrix, over the non-zero entries only."""
     if not a:
         return ()
-    rows = [_nonzeros(row) if x else () for x, row in zip(v, a)]
-    return _combine(v, rows, len(a[0]))
+    acc = [0] * len(a[0])
+    for k in compress(range(len(v)), v):
+        x = v[k]
+        for j, y in _nonzeros(a[k]):
+            acc[j] += x * y
+    return tuple(acc)
 
 
 def add_outer(m: list[list[int]], a, b) -> None:
@@ -155,48 +148,3 @@ def leading_minors(a: Matrix) -> list[int]:
                 row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
         prev = pivot
     return minors
-
-
-def direct_sum(mats) -> Matrix:
-    n = sum(len(m) for m in mats)
-    rows = []
-    offset = 0
-    for m in mats:
-        k = len(m)
-        for r in range(k):
-            rows.append((0,) * offset + tuple(m[r]) + (0,) * (n - offset - k))
-        offset += k
-    return tuple(rows)
-
-
-def inverse_unimodular(a: Matrix) -> Matrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-        d = m[k][k]
-        m[k] = [x / d for x in m[k]]
-        inv[k] = [x / d for x in inv[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    out = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)

@@ -56,9 +56,9 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         # M^-1 = G^-1 M^T G; integral because G is unimodular
-        ginv = _gram_inverse(self.lattice)
-        m = intmat.matmul(ginv, intmat.matmul(intmat.transpose(self.matrix), self.lattice.gram))
-        return Isometry(self.lattice, m)
+        lat = self.lattice
+        mt_g = intmat.matmul(self._columns, lat.gram)
+        return Isometry(lat, intmat.matmul(lat.gram_inverse, mt_g))
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,11 +68,6 @@ class Isometry:
 
     def __repr__(self) -> str:
         return f"Isometry({self.lattice.spec!r}, rank={self.lattice.rank})"
-
-
-@lru_cache(maxsize=None)
-def _gram_inverse(lattice: Lattice) -> intmat.Matrix:
-    return intmat.inverse_unimodular(lattice.gram)
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:

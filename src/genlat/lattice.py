@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
@@ -20,22 +20,39 @@ from . import intmat
 from .errors import BadParameters, LatticeMismatch, ParseError
 
 
-def _e8_cartan() -> intmat.Matrix:
-    # chain 1-2-3-4-5-6-7 with node 8 attached to node 5, diagonal 2
-    c = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        c[i][i] = 2
-    for i in range(6):
-        c[i][i + 1] = c[i + 1][i] = -1
-    c[4][7] = c[7][4] = -1
-    return tuple(tuple(row) for row in c)
-
-
-_H_GRAM: intmat.Matrix = ((0, 1), (1, 0))
-_H_ODD_GRAM: intmat.Matrix = ((0, 1), (1, 1))
-_MINUS_E8_GRAM: intmat.Matrix = tuple(
-    tuple(-x for x in row) for row in _e8_cartan()
+# -E8: the negated Cartan matrix of the chain 1-2-3-4-5-6-7 with node 8
+# attached to node 5
+_MINUS_E8_GRAM: intmat.Matrix = (
+    (-2, 1, 0, 0, 0, 0, 0, 0),
+    (1, -2, 1, 0, 0, 0, 0, 0),
+    (0, 1, -2, 1, 0, 0, 0, 0),
+    (0, 0, 1, -2, 1, 0, 0, 0),
+    (0, 0, 0, 1, -2, 1, 0, 1),
+    (0, 0, 0, 0, 1, -2, 1, 0),
+    (0, 0, 0, 0, 0, 1, -2, 0),
+    (0, 0, 0, 0, 1, 0, 0, -2),
 )
+# E8 is unimodular, so its Cartan inverse is integral; negated here
+_MINUS_E8_GRAM_INVERSE: intmat.Matrix = (
+    (-2, -3, -4, -5, -6, -4, -2, -3),
+    (-3, -6, -8, -10, -12, -8, -4, -6),
+    (-4, -8, -12, -15, -18, -12, -6, -9),
+    (-5, -10, -15, -20, -24, -16, -8, -12),
+    (-6, -12, -18, -24, -30, -20, -10, -15),
+    (-4, -8, -12, -16, -20, -14, -7, -10),
+    (-2, -4, -6, -8, -10, -7, -4, -5),
+    (-3, -6, -9, -12, -15, -10, -5, -8),
+)
+# block token -> (Gram, its exact integer inverse); H is its own inverse
+_GRAMS: dict[str, tuple[intmat.Matrix, intmat.Matrix]] = {
+    "H": (((0, 1), (1, 0)), ((0, 1), (1, 0))),
+    "H'": (((0, 1), (1, 1)), ((-1, 1), (1, 0))),
+    "E8-": (_MINUS_E8_GRAM, _MINUS_E8_GRAM_INVERSE),
+}
+
+# Every size-proportional allocation is refused above this rank.  E(100)
+# has rank 1198; a dense certificate at the cap holds 1.44M entries.
+MAX_RANK = 1200
 
 
 class Block(Enum):
@@ -47,11 +64,11 @@ class Block(Enum):
 
     @property
     def gram(self) -> intmat.Matrix:
-        if self is Block.HYPERBOLIC:
-            return _H_GRAM
-        if self is Block.HYPERBOLIC_ODD:
-            return _H_ODD_GRAM
-        return _MINUS_E8_GRAM
+        return _GRAMS[self.value][0]
+
+    @property
+    def gram_inverse(self) -> intmat.Matrix:
+        return _GRAMS[self.value][1]
 
     @property
     def rank(self) -> int:
@@ -75,13 +92,12 @@ class Block(Enum):
 class Lattice:
     """An ordered direct sum of blocks with named basis vectors.
 
-    The dense Gram is a function of the blocks, so it takes no part in
-    equality or hashing; pairings go through ``pair``/``gram_apply``,
-    which visit only the non-zero Gram entries (at most 4 per row).
+    The dense Gram and its inverse are functions of the blocks, built on
+    first read; pairings go through ``pair``/``gram_apply``, which visit
+    only the non-zero Gram entries (at most 4 per row).
     """
 
     blocks: tuple[Block, ...]
-    gram: intmat.Matrix = field(compare=False)
     basis_names: tuple[str, ...]
     rank: int
     sig_pos: int
@@ -99,6 +115,23 @@ class Lattice:
     def block_range(self, i: int) -> range:
         start = self.block_offsets[i]
         return range(start, start + self.blocks[i].rank)
+
+    @cached_property
+    def gram(self) -> intmat.Matrix:
+        return self._block_diagonal("gram")
+
+    @cached_property
+    def gram_inverse(self) -> intmat.Matrix:
+        return self._block_diagonal("gram_inverse")
+
+    def _block_diagonal(self, part: str) -> intmat.Matrix:
+        """The dense direct sum of the blocks' matrices named by part."""
+        n = self.rank
+        rows = []
+        for b, start in zip(self.blocks, self.block_offsets):
+            pad = (0,) * (n - start - b.rank)
+            rows += [(0,) * start + row + pad for row in getattr(b, part)]
+        return tuple(rows)
 
     @cached_property
     def _gram_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -184,8 +217,8 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
         raise BadParameters("a lattice needs at least one block")
     if not all(isinstance(b, Block) for b in blocks):
         raise BadParameters("blocks must be Block values")
-    gram = intmat.direct_sum([b.gram for b in blocks])
     rank = sum(b.rank for b in blocks)
+    check_rank(rank)
     sig_pos = sum(b.sig[0] for b in blocks)
     sig_neg = sum(b.sig[1] for b in blocks)
     if basis_names is None:
@@ -206,7 +239,20 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
             raise BadParameters("basis_names length must equal the rank")
         if len(set(basis_names)) != rank:
             raise BadParameters("basis names must be distinct")
-    return Lattice(blocks, gram, basis_names, rank, sig_pos, sig_neg)
+    return Lattice(blocks, basis_names, rank, sig_pos, sig_neg)
+
+
+def check_rank(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise BadParameters(f"rank {rank} exceeds the cap of {MAX_RANK}")
+
+
+def decimal_int(digits: str, what: str) -> int:
+    """int() of a digit string, refusing more digits than int() converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} has too many digits ({len(digits)})") from None
 
 
 @dataclass(frozen=True)
@@ -247,8 +293,8 @@ class HClass:
 
     def is_characteristic(self) -> bool:
         gx = self.lattice.gram_apply(self.coords)
-        g = self.lattice.gram
-        return all((gx[i] - g[i][i]) % 2 == 0 for i in range(self.lattice.rank))
+        diagonal = (row[i] for b in self.lattice.blocks for i, row in enumerate(b.gram))
+        return all((a - d) % 2 == 0 for a, d in zip(gx, diagonal))
 
     def __add__(self, other: "HClass") -> "HClass":
         self._check_same(other)
@@ -306,15 +352,19 @@ def parse_lattice_spec(text: str) -> tuple[Block, ...]:
     if not isinstance(text, str):
         raise ParseError(f"lattice spec must be a string, got {text!r}")
     blocks: list[Block] = []
+    rank = 0
     for raw in text.split(","):
         tok = raw.strip()
         m = _SPEC_TOKEN.match(tok)
         if not m:
             raise ParseError(f"bad lattice token {tok!r}")
-        count = int(m.group(1)) if m.group(1) else 1
+        count = decimal_int(m.group(1), "repetition count") if m.group(1) else 1
         if count < 1:
             raise ParseError(f"bad repetition count in {tok!r}")
-        blocks.extend([_TOKEN_TO_BLOCK[m.group(2)]] * count)
+        block = _TOKEN_TO_BLOCK[m.group(2)]
+        rank += count * block.rank
+        check_rank(rank)
+        blocks.extend([block] * count)
     if not blocks:
         raise ParseError("empty lattice spec")
     return tuple(blocks)

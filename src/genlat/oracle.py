@@ -76,6 +76,8 @@ def enumerate_vectors(
     divisibility, in lexicographic coordinate order."""
     if bound < 1:
         raise PreconditionFailed("bound must be at least 1")
+    if divisibility < 1:
+        raise PreconditionFailed("divisibility must be at least 1")
     width = 2 * bound + 1
     if width ** lattice.rank > max_states:
         raise BudgetExceeded(

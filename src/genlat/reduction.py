@@ -156,7 +156,7 @@ def _apply_op(n: list[list[int]], op: str, t: int) -> None:
         n[0][1] += t * n[0][0]
         n[1][1] += t * n[1][0]
     else:
-        raise AssertionError(op)
+        raise InvariantViolation(f"unknown 2x2 op {op!r}")
 
 
 def _emit(n, ops, op, t) -> None:
@@ -225,7 +225,7 @@ def diagonalize_ops(matrix, corner_one: bool = False):
             _emit(n, ops, "C1", 1)
         _euclid_column(n, ops)
         _euclid_row(n, ops)
-    raise AssertionError("2x2 diagonalization did not terminate")
+    raise InvariantViolation("2x2 diagonalization did not terminate")
 
 
 # -- the transvection engine ---------------------------------------------------

@@ -227,6 +227,70 @@ def test_non_integer_matrix_entries_exit_2(tmp_path, matrix):
         _assert_typed_error(*call([verb, "--lattice", "H", "--matrix", str(path)]))
 
 
+_HUGE = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", f"E({_HUGE})"],
+        ["info", f"E(2;{_HUGE},1)"],
+        ["oracle", "orbit", "--lattice", f"{_HUGE}H", "--square", "0"],
+        ["info", "E(101)"],  # rank 1210, just above the cap
+        ["oracle", "orbit", "--lattice", "601H", "--square", "0"],
+        ["oracle", "orbit", "--lattice", "H", "--square", "0", "--div", "0"],
+        ["oracle", "orbit", "--lattice", "H", "--square", "0", "--div", "-1"],
+    ],
+)
+def test_oversized_or_out_of_range_parameters_exit_2(argv):
+    _assert_typed_error(*call(argv))
+
+
+def test_matrix_file_with_oversized_integer_exit_2(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(f"[[{_HUGE}, 0], [0, 1]]")
+    for verb in ("verify", "spinor"):
+        _assert_typed_error(*call([verb, "--lattice", "H", "--matrix", str(path)]))
+    # the UTF-8 case keeps its own message
+    path.write_bytes(b"\xff[[1,0],[0,1]]")
+    code, out, err = call(["verify", "--lattice", "H", "--matrix", str(path)])
+    _assert_typed_error(code, out, err)
+    assert "is not UTF-8 text" in err
+
+
+def _src_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+
+
+def test_cli_import_leaves_fractions_and_decimal_out():
+    # -S: no site hooks, so only genlat's own imports are seen
+    code = "import sys, genlat.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=_src_env(), capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def test_acceptance_suite_passes_under_python_O():
+    # -O strips assert statements from the library (none are left) while
+    # pytest still rewrites the ones in the test module
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_acceptance.py")],
+        env=_src_env(),
+        cwd=root,
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout.decode()[-3000:]
+    assert b" passed" in proc.stdout
+
+
 # a reduction whose certificate has one entry of a unit column corrupted:
 # the last basis vector, in the last E8 block, which the class leaves alone
 _CORRUPT_CERTIFICATE = """
@@ -258,10 +322,7 @@ def test_reduce_output_identical_under_python_O():
     # the class needs stage 3 with a 62-bit semiprime gcd, the orbit run
     # checks every image and witness certificate, and the corrupted
     # certificate must be refused
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-    ))
+    env = _src_env()
     cli = "from genlat.cli import main; main()"
     n = 2147483647 * 2147483629
     reduce_argv = ["reduce", "--surface", "E(3)", "--class", f"e1={n},f1={n},e3=1", "--json"]
@@ -287,12 +348,24 @@ def test_reduce_output_identical_under_python_O():
     assert stdouts[2].decode().splitlines() == ["unit column True", "NotAnIsometry (30, 33)"]
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_library():
     # python -O strips assert statements, so no check in the library may
-    # be one; InvariantViolation is the type for internal postconditions
+    # be one, nor raise the untyped AssertionError; InvariantViolation is
+    # the type for internal postconditions
     src = Path(__file__).resolve().parents[1] / "src" / "genlat"
     found = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+        ]
     assert found == []

@@ -55,6 +55,20 @@ def test_make_surface_rejects_bad_parameters():
             g.make_surface(*bad)
 
 
+def test_surface_rank_cap():
+    # E(100) has rank 1198 and is built without a dense Gram
+    big = g.make_surface(100, 2, 3)
+    assert big.lattice.rank == 1198 <= g.lattice.MAX_RANK
+    assert "gram" not in vars(big.lattice)
+    for n in (101, 10**12):
+        with pytest.raises(g.BadParameters):
+            g.make_surface(n)
+    huge = "9" * 5000
+    for spec in (f"E({huge})", f"E(2;{huge},1)", f"E(2;1,{huge})"):
+        with pytest.raises(g.LatticeError):
+            g.parse_surface(spec)
+
+
 def test_distinguished_classes(e3, e23, k3):
     for x in (e3, e23, k3):
         assert x.k.square() == 0 and x.k.is_primitive()

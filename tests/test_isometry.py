@@ -77,6 +77,28 @@ def test_compose_identity_and_inverse(H2):
         assert g.compose(a.inverse(), a).matrix == ident.matrix
 
 
+@pytest.mark.parametrize("spec", ["H'", "2H,E8-", "E(2;2,3)", "E(3)"])
+def test_inverse_of_generator_words_and_reduction_certificates(spec):
+    # M^-1 = G^-1 M^T G with G^-1 taken block by block
+    if spec.startswith("E("):
+        s = g.parse_surface(spec)
+        lat = s.lattice
+        classes = ["e1=3,f1=5,e2=2,f2=-1", "k=2,e1=6,f1=4,x1_1=2", "e2=12,f2=-18,x2_5=6"]
+        certs = [g.reduce_in_elliptic(s, s.parse_class(c)).certificate for c in classes]
+    else:
+        lat = g.lattice_from_spec(spec)
+        certs = []
+    pool = generator_pool(lat) or g.default_generators(lat)
+    rng = random.Random(spec)
+    words = pool + [random_isometry(lat, rng, pool, steps=rng.randint(1, 6)) for _ in range(8)]
+    ident = g.identity_isometry(lat).matrix
+    for a in words + certs:
+        inv = a.inverse()
+        assert g.compose(a, inv).matrix == ident
+        assert g.compose(inv, a).matrix == ident
+        assert g.verify_isometry(lat, inv.matrix).matrix == inv.matrix
+
+
 def test_compose_block_negations(H2):
     a = g.minus_identity_on_blocks(H2, [0])
     b = g.minus_identity_on_blocks(H2, [1])

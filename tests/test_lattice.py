@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -102,6 +103,35 @@ def test_block_grams_unimodular_and_symmetric():
     assert intmat.det(e8) == 1
 
 
+def test_block_gram_inverse():
+    for b in g.Block:
+        ident = intmat.identity(b.rank)
+        assert intmat.matmul(b.gram, b.gram_inverse) == ident
+        assert intmat.matmul(b.gram_inverse, b.gram) == ident
+    assert g.Block.HYPERBOLIC.gram_inverse == g.Block.HYPERBOLIC.gram
+    assert g.Block.HYPERBOLIC_ODD.gram_inverse == ((-1, 1), (1, 0))
+
+
+def _direct_sum(mats):
+    n = sum(len(m) for m in mats)
+    rows, offset = [], 0
+    for m in mats:
+        rows += [(0,) * offset + tuple(r) + (0,) * (n - offset - len(m)) for r in m]
+        offset += len(m)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("spec", ["H", "H'", "E8-", "H',2H,2E8-", "E8-,H,E8-,H'"])
+def test_gram_and_inverse_built_from_the_blocks_on_first_read(spec):
+    assert "gram" not in {f.name for f in dataclasses.fields(g.Lattice)}
+    lat = g.lattice_from_spec(spec)
+    assert "gram" not in vars(lat) and "gram_inverse" not in vars(lat)
+    assert lat.gram == _direct_sum([b.gram for b in lat.blocks])
+    assert lat.gram_inverse == _direct_sum([b.gram_inverse for b in lat.blocks])
+    assert intmat.matmul(lat.gram, lat.gram_inverse) == intmat.identity(lat.rank)
+    assert lat.gram is lat.gram  # cached
+
+
 # -- make_lattice --------------------------------------------------------------
 
 def test_make_lattice_examples():
@@ -115,6 +145,24 @@ def test_make_lattice_examples():
 
     odd = g.make_lattice([g.Block.HYPERBOLIC_ODD])
     assert (odd.rank, odd.sig_pos, odd.sig_neg) == (2, 1, 1)
+
+
+def test_rank_cap():
+    cap = g.lattice.MAX_RANK
+    assert cap >= g.make_surface(100).lattice.rank == 1198
+    assert len(g.parse_lattice_spec(f"{cap // 2}H")) == cap // 2
+    # the running count is checked before the blocks are listed
+    for spec in (f"{cap // 2 + 1}H", f"{cap // 2}H,H'", f"{cap // 2 - 3}H,E8-", f"{10**12}H"):
+        with pytest.raises(g.BadParameters):
+            g.parse_lattice_spec(spec)
+    with pytest.raises(g.BadParameters):
+        g.make_lattice([g.Block.HYPERBOLIC] * (cap // 2 + 1))
+
+
+def test_counts_longer_than_int_converts():
+    for spec in ("9" * 5000 + "H", "H," + "1" * 5000 + "E8-"):
+        with pytest.raises(g.LatticeError):
+            g.parse_lattice_spec(spec)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,13 @@ def test_enumerate_deterministic_order(H2):
     assert [x.coords for x in a] == sorted(x.coords for x in a)
 
 
+@pytest.mark.parametrize("div", [0, -1])
+def test_enumerate_refuses_divisibility_below_one(H, div):
+    # divisibility 0 would admit the zero vector as an orbit
+    with pytest.raises(g.PreconditionFailed):
+        g.enumerate_vectors(H, 0, div, 1)
+
+
 def test_enumerate_budget(k3):
     with pytest.raises(g.BudgetExceeded):
         g.enumerate_vectors(k3.lattice, 0, 1, 1)  # 3^22 states

@@ -68,6 +68,14 @@ def test_diagonalize_corner_one_rejects_gcd():
         diagonalize_ops(((2, 0), (0, 2)), corner_one=True)
 
 
+def test_diagonalize_internal_failures_are_typed(monkeypatch):
+    with pytest.raises(g.InvariantViolation):
+        _apply_op([[1, 0], [0, 1]], "R3", 1)
+    monkeypatch.setattr(reduction, "_MAX_DIAG_ROUNDS", 0)
+    with pytest.raises(g.InvariantViolation):
+        diagonalize_ops(((2, 1), (1, 1)))
+
+
 # -- reduce_even -----------------------------------------------------------------
 
 def _check_reduction(lattice, res, acting_indices=None):
