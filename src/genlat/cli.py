@@ -14,7 +14,7 @@ import sys
 
 from .elliptic import (
     EllipticSurface,
-    basic_classes,
+    basic_range,
     canonical_class,
     min_genus,
     parse_surface,
@@ -98,14 +98,13 @@ def _load_surface(args) -> EllipticSurface:
     return parse_surface(spec)
 
 
-def _load_lattice(args) -> tuple[Lattice, EllipticSurface | None]:
+def _load_lattice(args) -> Lattice:
     if getattr(args, "surface", None) and getattr(args, "lattice", None):
         raise ParseError("give either --surface or --lattice, not both")
     if getattr(args, "surface", None):
-        surf = parse_surface(args.surface)
-        return surf.lattice, surf
+        return parse_surface(args.surface).lattice
     if getattr(args, "lattice", None):
-        return lattice_from_spec(args.lattice), None
+        return lattice_from_spec(args.lattice)
     raise ParseError("either --surface or --lattice is required")
 
 
@@ -150,7 +149,7 @@ def _surface_summary(surface: EllipticSurface) -> dict:
         "rank": surface.lattice.rank,
         "sig_pos": surface.lattice.sig_pos,
         "sig_neg": surface.lattice.sig_neg,
-        "basic_classes": [b.coords[0] for b in basic_classes(surface)],
+        "basic_classes": list(basic_range(surface)),
     }
 
 
@@ -178,7 +177,7 @@ def _cmd_info(args, out, err) -> int:
 
 def _cmd_basic(args, out, err) -> int:
     surface = _load_surface(args)
-    rs = [b.coords[0] for b in basic_classes(surface)]
+    rs = list(basic_range(surface))
     if args.json:
         _emit_json({"surface": surface.spec, "basic_classes": rs}, out)
         return 0
@@ -240,7 +239,7 @@ def _cmd_reduce(args, out, err) -> int:
 
 
 def _cmd_spinor(args, out, err) -> int:
-    lattice, _ = _load_lattice(args)
+    lattice = _load_lattice(args)
     iso = verify_isometry(lattice, _load_matrix(args.matrix))
     nu = spinor_norm(canonical_frame(lattice), iso)
     if args.json:
@@ -251,7 +250,7 @@ def _cmd_spinor(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
-    lattice, _ = _load_lattice(args)
+    lattice = _load_lattice(args)
     verify_isometry(lattice, _load_matrix(args.matrix))
     if args.json:
         _emit_json({"ok": True}, out)
@@ -275,7 +274,7 @@ def _budget(args) -> int:
 
 
 def _cmd_oracle(args, out, err) -> int:
-    lattice, _ = _load_lattice(args)
+    lattice = _load_lattice(args)
     budget = _budget(args)
     seeds = enumerate_vectors(lattice, args.square, args.div, args.bound, max_states=budget)
     gens = default_generators(lattice)

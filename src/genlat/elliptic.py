@@ -28,19 +28,40 @@ from .reduction import ReductionResult, reduce_in_elliptic, sphere_reduction
 
 _CLASS_ALIASES = {"R": "e1", "T": "f1"}
 
+# Listing more basic classes (d + 1, each of rank length) is refused.
+MAX_BASIC_CLASSES = 1000
+
 
 @dataclass(frozen=True)
 class EllipticSurface:
-    """The surface E(n)_{p,q} as homological data."""
+    """The surface E(n)_{p,q} as homological data; all but n, p, q is derived."""
 
     n: int
     p: int
     q: int
-    d: int
-    spin: bool
-    l: int
-    m: int
-    lattice: Lattice
+
+    @property
+    def d(self) -> int:
+        return self.n * self.p * self.q - self.p - self.q
+
+    @property
+    def spin(self) -> bool:
+        return self.d % 2 == 0
+
+    @property
+    def l(self) -> int:
+        return 2 * self.n - 2
+
+    @property
+    def m(self) -> int:
+        return self.n
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        # k, W, then the default names e1, f1, ..., x1_1, ... of the rest
+        rest = [Block.HYPERBOLIC] * self.l + [Block.MINUS_E8] * self.m
+        first = Block.HYPERBOLIC if self.spin else Block.HYPERBOLIC_ODD
+        return make_lattice([first] + rest, ("k", "W") + make_lattice(rest).basis_names)
 
     @property
     def is_k3(self) -> bool:
@@ -80,7 +101,7 @@ class EllipticSurface:
 
 
 def make_surface(n: int, p: int = 1, q: int = 1) -> EllipticSurface:
-    if not all(isinstance(v, int) for v in (n, p, q)):
+    if not all(type(v) is int for v in (n, p, q)):
         raise BadParameters("n, p, q must be integers")
     if n < 2:
         raise BadParameters("n must be at least 2")
@@ -89,20 +110,7 @@ def make_surface(n: int, p: int = 1, q: int = 1) -> EllipticSurface:
     if math.gcd(p, q) != 1:
         raise BadParameters("p and q must be coprime")
     check_rank(12 * n - 2)
-    d = n * p * q - p - q
-    spin = d % 2 == 0
-    l = 2 * n - 2
-    m = n
-    blocks = [Block.HYPERBOLIC if spin else Block.HYPERBOLIC_ODD]
-    blocks += [Block.HYPERBOLIC] * l
-    blocks += [Block.MINUS_E8] * m
-    names = ["k", "W"]
-    for i in range(1, l + 1):
-        names += [f"e{i}", f"f{i}"]
-    for j in range(1, m + 1):
-        names += [f"x{j}_{t}" for t in range(1, 9)]
-    lattice = make_lattice(blocks, names)
-    return EllipticSurface(n=n, p=p, q=q, d=d, spin=spin, l=l, m=m, lattice=lattice)
+    return EllipticSurface(n, p, q)
 
 
 _SURFACE_RE = re.compile(r"^E\((\d+)(?:;(\d+),(\d+))?\)$")
@@ -120,10 +128,18 @@ def canonical_class(surface: EllipticSurface) -> HClass:
     return surface.d * surface.k
 
 
-def basic_classes(surface: EllipticSurface) -> list[HClass]:
-    """All r k with r = d mod 2 and |r| <= d, ascending in r."""
+def basic_range(surface: EllipticSurface) -> range:
+    """The r with r = d mod 2 and |r| <= d, ascending; BadParameters when
+    there are more than MAX_BASIC_CLASSES of them."""
     d = surface.d
-    return [r * surface.k for r in range(-d, d + 1, 2)]
+    if d + 1 > MAX_BASIC_CLASSES:
+        raise BadParameters(f"{surface.spec} has more than {MAX_BASIC_CLASSES} basic classes")
+    return range(-d, d + 1, 2)
+
+
+def basic_classes(surface: EllipticSurface) -> list[HClass]:
+    """All r k over basic_range, ascending in r."""
+    return [r * surface.k for r in basic_range(surface)]
 
 
 # -- genus verdicts ------------------------------------------------------------
@@ -152,10 +168,13 @@ _NEG_SQUARE_NOTE = (
 class GenusVerdict:
     lower_bound: int
     realized: int | None
-    status: Status
     rule: Rule
     negative_square_note: str | None = None
     certificate: ReductionResult | None = None
+
+    @property
+    def status(self) -> Status:
+        return Status.LOWER_BOUND_ONLY if self.realized is None else Status.EXACT
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,7 +243,6 @@ def min_genus(surface: EllipticSurface, a: HClass) -> GenusVerdict:
     return GenusVerdict(
         lower_bound=bound,
         realized=None,
-        status=Status.LOWER_BOUND_ONLY,
         rule=Rule.ADJUNCTION_ONLY,
         negative_square_note=_NEG_SQUARE_NOTE if neg else None,
     )
@@ -238,7 +256,6 @@ def _exact(c: int, bound: int, rule: Rule, cert: ReductionResult | None) -> Genu
     return GenusVerdict(
         lower_bound=bound,
         realized=c,
-        status=Status.EXACT,
         rule=rule,
         certificate=cert,
     )
@@ -273,13 +290,11 @@ def nucleus_min_genus(gamma: int, delta: int) -> GenusVerdict:
         return GenusVerdict(
             lower_bound=max(0, c),
             realized=c,
-            status=Status.EXACT,
             rule=Rule.COR_NUCLEUS,
         )
     return GenusVerdict(
         lower_bound=0,
         realized=None,
-        status=Status.LOWER_BOUND_ONLY,
         rule=Rule.ADJUNCTION_ONLY,
         negative_square_note=_NEG_SQUARE_NOTE,
     )

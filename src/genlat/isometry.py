@@ -25,9 +25,10 @@ from .lattice import (
     Block,
     HClass,
     Lattice,
+    check_ints,
+    check_json_lattice,
     json_field,
     json_int_rows,
-    lattice_from_spec,
 )
 
 
@@ -86,10 +87,12 @@ def verify_isometry(lattice: Lattice, matrix) -> Isometry:
     (G m_i)^T M, and compared with G[i]; the cost follows the columns
     the certificate moves, not n^2.
     """
-    m = tuple(tuple(map(int, row)) for row in matrix)
+    m = tuple(map(tuple, matrix))
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise NotAnIsometry(f"matrix must be {n}x{n}")
+    for row in m:
+        check_ints(row, NotAnIsometry, "the matrix")
     return _checked_isometry(lattice, m)
 
 
@@ -324,6 +327,6 @@ def realizability(surface, m: Isometry) -> Realizability:
     return Realizability.UNKNOWN
 
 
-def isometry_from_json_dict(doc: dict) -> Isometry:
-    lat = lattice_from_spec(json_field(doc, "lattice"))
-    return verify_isometry(lat, json_int_rows(json_field(doc, "matrix"), "matrix"))
+def isometry_from_json_dict(doc: dict, lattice: Lattice) -> Isometry:
+    check_json_lattice(doc, lattice)
+    return verify_isometry(lattice, json_int_rows(json_field(doc, "matrix"), "matrix"))

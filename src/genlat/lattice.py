@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import compress
 
 from . import intmat
-from .errors import BadParameters, LatticeMismatch, ParseError
+from .errors import BadParameters, LatticeError, LatticeMismatch, ParseError
 
 
 # -E8: the negated Cartan matrix of the chain 1-2-3-4-5-6-7 with node 8
@@ -75,11 +75,6 @@ class Block(Enum):
         return 8 if self is Block.MINUS_E8 else 2
 
     @property
-    def sig(self) -> tuple[int, int]:
-        """(positive, negative) inertia contributed by this block."""
-        return (0, 8) if self is Block.MINUS_E8 else (1, 1)
-
-    @property
     def is_even(self) -> bool:
         return self is not Block.HYPERBOLIC_ODD
 
@@ -92,16 +87,26 @@ class Block(Enum):
 class Lattice:
     """An ordered direct sum of blocks with named basis vectors.
 
-    The dense Gram and its inverse are functions of the blocks, built on
-    first read; pairings go through ``pair``/``gram_apply``, which visit
-    only the non-zero Gram entries (at most 4 per row).
+    The rank, signature, dense Gram and Gram inverse are functions of the
+    blocks, built on first read; pairings go through ``pair``/``gram_apply``,
+    which visit only the non-zero Gram entries (at most 4 per row).
     """
 
     blocks: tuple[Block, ...]
     basis_names: tuple[str, ...]
-    rank: int
-    sig_pos: int
-    sig_neg: int
+
+    @cached_property
+    def rank(self) -> int:
+        return sum(b.rank for b in self.blocks)
+
+    @cached_property
+    def sig_pos(self) -> int:
+        # each rank-2 block has signature (1, 1), each -E8 block (0, 8)
+        return sum(b is not Block.MINUS_E8 for b in self.blocks)
+
+    @cached_property
+    def sig_neg(self) -> int:
+        return self.rank - self.sig_pos
 
     @cached_property
     def block_offsets(self) -> tuple[int, ...]:
@@ -219,8 +224,6 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
         raise BadParameters("blocks must be Block values")
     rank = sum(b.rank for b in blocks)
     check_rank(rank)
-    sig_pos = sum(b.sig[0] for b in blocks)
-    sig_neg = sum(b.sig[1] for b in blocks)
     if basis_names is None:
         names = []
         n_pairs = 0
@@ -239,7 +242,7 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
             raise BadParameters("basis_names length must equal the rank")
         if len(set(basis_names)) != rank:
             raise BadParameters("basis names must be distinct")
-    return Lattice(blocks, basis_names, rank, sig_pos, sig_neg)
+    return Lattice(blocks, basis_names)
 
 
 def check_rank(rank: int) -> None:
@@ -263,11 +266,12 @@ class HClass:
     coords: intmat.Vector
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(self.coords)
         if len(coords) != self.lattice.rank:
             raise BadParameters(
                 f"expected {self.lattice.rank} coordinates, got {len(coords)}"
             )
+        check_ints(coords, BadParameters, "class coordinates")
         object.__setattr__(self, "coords", coords)
 
     def _check_same(self, other: "HClass"):
@@ -445,17 +449,22 @@ def json_field(doc, key: str):
     return doc[key]
 
 
-def json_ints(values, what: str):
-    """A JSON array of integers, returned as given; ParseError otherwise.
+def check_ints(values, error: type[LatticeError], what: str) -> None:
+    """Raise error unless every entry of the sequence is exactly an int.
 
     Floats, strings and booleans are refused rather than converted:
     int() would truncate 1.9 to 1, and bool is an int subclass.
     """
-    if not isinstance(values, list):
-        raise ParseError(f"{what} must be a JSON array of integers")
     if not {int}.issuperset(map(type, values)):
         bad = next(x for x in values if type(x) is not int)
-        raise ParseError(f"non-integer entry {bad!r} in {what}")
+        raise error(f"non-integer entry {bad!r} in {what}")
+
+
+def json_ints(values, what: str):
+    """A JSON array of integers, returned as given; ParseError otherwise."""
+    if not isinstance(values, list):
+        raise ParseError(f"{what} must be a JSON array of integers")
+    check_ints(values, ParseError, what)
     return values
 
 
@@ -486,6 +495,13 @@ def lattice_from_json_dict(doc: dict) -> Lattice:
     return lat
 
 
-def hclass_from_json_dict(doc: dict) -> HClass:
-    lat = lattice_from_spec(json_field(doc, "lattice"))
-    return lat.hclass(json_ints(json_field(doc, "coords"), "coords"))
+def check_json_lattice(doc, lattice: Lattice) -> None:
+    """ParseError unless the document's "lattice" spec is the given lattice's."""
+    spec = json_field(doc, "lattice")
+    if spec != lattice.spec:
+        raise ParseError(f"the document is over {spec!r}, not {lattice.spec!r}")
+
+
+def hclass_from_json_dict(doc: dict, lattice: Lattice) -> HClass:
+    check_json_lattice(doc, lattice)
+    return lattice.hclass(json_ints(json_field(doc, "coords"), "coords"))

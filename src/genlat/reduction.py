@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intmat
 from .errors import (
@@ -53,24 +54,39 @@ from .lattice import (
     Block,
     HClass,
     Lattice,
+    check_ints,
+    check_json_lattice,
     json_field,
     json_int_rows,
     json_ints,
-    lattice_from_spec,
-    make_lattice,
 )
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """A verified reduction: certificate maps input to canonical."""
+    """A verified reduction: certificate maps input to canonical.  The
+    spinor norm and the k/W flags are read off the certificate; a
+    lattice with no basis vector named k (or W) counts as fixing it."""
 
     input: HClass
     canonical: HClass
     certificate: Isometry
-    spinor: int
-    fixes_k: bool
-    fixes_W: bool
+
+    @cached_property
+    def spinor(self) -> int:
+        return spinor_norm(canonical_frame(self.certificate.lattice), self.certificate)
+
+    @cached_property
+    def fixes_k(self) -> bool:
+        return self._fixes("k")
+
+    @cached_property
+    def fixes_W(self) -> bool:
+        return self._fixes("W")
+
+    def _fixes(self, name: str) -> bool:
+        lat = self.certificate.lattice
+        return name not in lat.basis_names or fixes_class(self.certificate, lat.basis_class(name))
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,48 +100,24 @@ class ReductionResult:
         }
 
 
-def reduction_result_from_json_dict(doc: dict) -> ReductionResult:
-    """Load a result, checking its claims: the certificate is an isometry
-    mapping input to canonical, with the stated spinor and fixes_k/W.
-
-    The result lives over the first lattice of ``_document_lattices``
-    under which every claim holds."""
-    lattices = _document_lattices(json_field(doc, "lattice"))
-    cert = verify_isometry(
-        lattices[0], json_int_rows(json_field(doc, "certificate"), "certificate")
-    )
+def reduction_result_from_json_dict(doc: dict, lattice: Lattice) -> ReductionResult:
+    """Load a result over lattice, checking its claims: the certificate is
+    an isometry mapping input to canonical, with the stated spinor and
+    fixes_k/W."""
+    check_json_lattice(doc, lattice)
+    cert = verify_isometry(lattice, json_int_rows(json_field(doc, "certificate"), "certificate"))
     spinor = json_field(doc, "spinor")
     fixes = [json_field(doc, key) for key in ("fixes_k", "fixes_W")]
     if type(spinor) is not int or not all(type(f) is bool for f in fixes):
         raise ParseError("spinor must be an integer, fixes_k and fixes_W JSON booleans")
-    x = lattices[0].hclass(json_ints(json_field(doc, "input"), "input"))
-    canonical = lattices[0].hclass(json_ints(json_field(doc, "canonical"), "canonical"))
+    x = lattice.hclass(json_ints(json_field(doc, "input"), "input"))
+    canonical = lattice.hclass(json_ints(json_field(doc, "canonical"), "canonical"))
     if cert.apply(x.coords) != canonical.coords:
         raise ParseError("the certificate does not map input to canonical")
-    for lat in lattices:
-        res = _result(
-            lat.hclass(x.coords), lat.hclass(canonical.coords), Isometry(lat, cert.matrix)
-        )
-        if (res.spinor, res.fixes_k, res.fixes_W) == (spinor, *fixes):
-            return res
-    raise ParseError("spinor, fixes_k or fixes_W disagrees with the certificate")
-
-
-def _document_lattices(spec) -> tuple[Lattice, ...]:
-    """The lattices a document's spec can stand for.
-
-    A document records only the lattice spec.  A spec laid out like an
-    elliptic-surface model (H or H', 2n - 2 H, n -E8) may come from a
-    surface, whose k and W fixes_k and fixes_W then refer to, or from
-    the bare spec with its default basis names; the surface comes first.
-    """
-    lat = lattice_from_spec(spec)
-    rest = lat.blocks[1:]
-    n = rest.count(Block.MINUS_E8)
-    surface = (Block.HYPERBOLIC,) * (2 * n - 2) + (Block.MINUS_E8,) * n
-    if n < 2 or rest != surface or lat.blocks[0] is Block.MINUS_E8:
-        return (lat,)
-    return (make_lattice(lat.blocks, ("k", "W") + make_lattice(rest).basis_names), lat)
+    res = ReductionResult(x, canonical, cert)
+    if (res.spinor, res.fixes_k, res.fixes_W) != (spinor, *fixes):
+        raise ParseError("spinor, fixes_k or fixes_W disagrees with the certificate")
+    return res
 
 
 # -- 2x2 elementary-addition calculus -----------------------------------------
@@ -406,13 +398,6 @@ def reduce_even(
     if x.is_zero:
         raise ZeroClass("cannot reduce the zero class")
     acting = tuple(acting_blocks) if acting_blocks is not None else _default_acting(lattice)
-    cert, canonical = _reduce_even(lattice, x, target_block, acting)
-    return _result(x, canonical, cert)
-
-
-def _reduce_even(lattice: Lattice, x: HClass, target_block: int, acting):
-    """The checked certificate and canonical form of reduce_even, without
-    the spinor norm and k/W checks of a ReductionResult."""
     d = x.divisibility()
     prim = tuple(c // d for c in x.coords)
     red = _Reducer(lattice, prim, target_block, acting)
@@ -420,7 +405,7 @@ def _reduce_even(lattice: Lattice, x: HClass, target_block: int, acting):
     cert = _checked_isometry(lattice, red.certificate_matrix())
     canonical = lattice.hclass(tuple(d * c for c in red.y))
     _check_image(cert, x, canonical)
-    return cert, canonical
+    return ReductionResult(x, canonical, cert)
 
 
 def _check_image(cert: Isometry, x: HClass, canonical: HClass) -> None:
@@ -428,25 +413,6 @@ def _check_image(cert: Isometry, x: HClass, canonical: HClass) -> None:
         raise InvariantViolation("the certificate does not map the class to its canonical form")
     if canonical.square() != x.square() or canonical.divisibility() != x.divisibility():
         raise InvariantViolation("the canonical form changed the square or the divisibility")
-
-
-def _result(x: HClass, canonical: HClass, cert: Isometry) -> ReductionResult:
-    nu = spinor_norm(canonical_frame(x.lattice), cert)
-    return ReductionResult(
-        input=x,
-        canonical=canonical,
-        certificate=cert,
-        spinor=nu,
-        fixes_k=_fixes_named(cert, "k"),
-        fixes_W=_fixes_named(cert, "W"),
-    )
-
-
-def _fixes_named(cert: Isometry, name: str) -> bool:
-    lat = cert.lattice
-    if name not in lat.basis_names:
-        return True
-    return fixes_class(cert, lat.basis_class(name))
 
 
 # -- elliptic-surface entry points --------------------------------------------
@@ -477,9 +443,9 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
     b_coords[0] = 0
     b = lattice.hclass(b_coords)
     if b.is_zero:
-        return _result(a_class, a_class, identity_isometry(lattice))
+        return ReductionResult(a_class, a_class, identity_isometry(lattice))
     acting = tuple(range(1, len(lattice.blocks)))
-    cert, _ = _reduce_even(lattice, b, _RT_BLOCK, acting)
+    cert = reduce_even(lattice, b, _RT_BLOCK, acting).certificate
     d = b.divisibility()
     s = b.square() // (2 * d * d)
     if s > 0:
@@ -490,7 +456,7 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
         gamma, delta = d, d * s  # delta <= 0, zero iff B^2 = 0
     canonical = a * surface.k + gamma * surface.R + delta * surface.T
     _check_image(cert, a_class, canonical)
-    res = _result(a_class, canonical, cert)
+    res = ReductionResult(a_class, canonical, cert)
     if res.spinor != 1 or not (res.fixes_k and res.fixes_W):
         raise InvariantViolation("the certificate must have spinor norm +1 and fix k and W")
     return res
@@ -503,7 +469,7 @@ def phi_isometry(surface, alpha: int) -> Isometry:
     moves alpha k + S to S.
     """
     lattice = surface.lattice
-    alpha = int(alpha)
+    check_ints((alpha,), PreconditionFailed, "alpha")
     n = lattice.rank
     m = intmat.identity_rows(n)
     m[2][1] = alpha   # W column gains alpha R
@@ -523,20 +489,20 @@ def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
             "sphere reduction needs k.A = 0 and A^2 = -2"
         )
     if a_class == surface.S:
-        return _result(a_class, a_class, identity_isometry(lattice))
+        return ReductionResult(a_class, a_class, identity_isometry(lattice))
     a = a_class.coords[0]
     b_coords = list(a_class.coords)
     b_coords[0] = 0
     b = lattice.hclass(b_coords)
     acting = tuple(range(1, len(lattice.blocks)))
-    inner, _ = _reduce_even(lattice, b, _RT_BLOCK, acting)
+    inner = reduce_even(lattice, b, _RT_BLOCK, acting).certificate
     # inner canonical is R - T; reflect in R - T to land on S = T - R
     flip = reflection(lattice, surface.R - surface.T)
     cert = compose(phi_isometry(surface, a), compose(flip, inner))
     canonical = surface.S
     if cert.apply(a_class.coords) != canonical.coords:
         raise InvariantViolation("the certificate does not map the class to S")
-    res = _result(a_class, canonical, cert)
+    res = ReductionResult(a_class, canonical, cert)
     if res.spinor != 1 or not res.fixes_k:
         raise InvariantViolation("the certificate must have spinor norm +1 and fix k")
     return res

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import genlat as g
 from genlat.cli import run
@@ -76,6 +78,17 @@ def test_genus_accepts_R_T_aliases():
     assert json.loads(out)["realized"] == 5
 
 
+def test_basic_class_listing_cap():
+    cap = g.elliptic.MAX_BASIC_CLASSES
+    code, out, _ = call(["basic", "--surface", f"E(2;1,{cap})", "--json"])
+    assert code == 0 and len(json.loads(out)["basic_classes"]) == cap
+    big = "9" * 1999
+    for spec in (f"E(2;1,{cap + 1})", f"E(2;{big}8,{big}9)"):
+        for argv in (["info", spec], ["info", spec, "--json"], ["basic", "--surface", spec]):
+            code, out, err = call(argv)
+            assert (code, out) == (2, "") and err.startswith("error: "), argv
+
+
 def test_reduce_verb():
     code, out, _ = call(
         ["reduce", "--surface", "E(3)", "--class", "e1=1,f1=2,e2=1,f2=-1", "--json"]
@@ -84,7 +97,7 @@ def test_reduce_verb():
     doc = json.loads(out)
     assert doc["spinor"] == 1
     assert doc["fixes_k"] is True and doc["fixes_W"] is True
-    back = g.reduction_result_from_json_dict(doc)
+    back = g.reduction_result_from_json_dict(doc, g.make_surface(3).lattice)
     assert back.to_json_dict() == doc
 
 
@@ -369,3 +382,86 @@ def test_no_assert_statements_in_the_library():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node)
         ]
     assert found == []
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+_BIG = 10**99 - 1  # generated integers stay under 100 digits
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG))
+_JUNK = st.text(max_size=8)
+_SURFACES = st.one_of(
+    st.sampled_from(["E(2)", "E(3)", "E(4)", "E(2;2,3)", "E(3;2,5)"]),
+    st.builds("E({})".format, st.integers(0, 100)),  # ranks up to MAX_RANK
+    st.builds("E({};{},{})".format, st.integers(0, 6), _INTS.map(abs), _INTS.map(abs)),
+    _JUNK,
+)
+_LATTICES = st.one_of(st.sampled_from(["H", "H'", "2H", "H',H", "3H", "E8-", "2000H"]), _JUNK)
+_SOURCES = st.one_of(
+    st.tuples(st.just("--surface"), _SURFACES),
+    st.tuples(st.just("--lattice"), _LATTICES),
+    st.just(("--surface", "E(2)", "--lattice", "H")),
+    st.just(()),
+)
+
+
+def _sparse_classes(names, unique):
+    items = st.lists(
+        st.tuples(st.sampled_from(names), _INTS), min_size=1, max_size=6, unique_by=unique
+    )
+    return items.map(lambda pairs: ",".join(f"{name}={v}" for name, v in pairs))
+
+
+_K_ORTHOGONAL = ["k", "R", "T", "e1", "f1", "e2", "f2", "x1_1", "x2_8"]
+_CLASSES = st.one_of(
+    _sparse_classes(_K_ORTHOGONAL, lambda pair: pair[0]),
+    _sparse_classes(_K_ORTHOGONAL + ["W", "z"], None),  # repeated and unknown names too
+    st.lists(_INTS, max_size=24).map(lambda xs: ",".join(map(str, xs))),
+    _JUNK,
+)
+
+
+def _diagonal(signs):
+    return [[s if i == j else 0 for j in range(len(signs))] for i, s in enumerate(signs)]
+
+
+_MATRICES = st.one_of(
+    st.lists(st.lists(_INTS, max_size=4), max_size=4).map(json.dumps),
+    st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=4).map(_diagonal).map(json.dumps),
+    _JUNK,
+)
+_VERBS = ["info", "basic", "class", "genus", "reduce", "spinor", "verify", "oracle"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_cli_fuzz_every_verb_exits_0_2_or_3(fuzz_dir, data):
+    draw = data.draw
+    verb = draw(st.sampled_from(_VERBS))
+    argv = [verb]
+    if verb in ("info", "basic"):
+        argv += ["--surface", draw(_SURFACES)]
+    elif verb in ("class", "genus", "reduce"):
+        argv += ["--surface", draw(_SURFACES), "--class", draw(_CLASSES)]
+    elif verb == "oracle":
+        argv += ["orbit", *draw(_SOURCES)]
+        for flag, top in (("--square", 4), ("--div", 4), ("--bound", 4), ("--budget", 4000)):
+            argv += [flag, str(draw(st.integers(-3, top)))]
+        if draw(st.booleans()):
+            argv.append("--witnesses")
+    else:
+        path = fuzz_dir / "matrix.json"
+        path.write_text(draw(_MATRICES), encoding="utf-8")
+        argv += [*draw(_SOURCES), "--matrix", str(path)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.one_of(_JUNK, st.sampled_from(["--surface", "--class", "-h"]))))
+    code, _, err = call(argv)
+    event(f"{verb} exit {code}")  # shown by --hypothesis-show-statistics
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err, argv

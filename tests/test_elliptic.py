@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -114,6 +115,37 @@ def test_basic_classes_examples(k3, e3, e23):
     assert g.basic_classes(k3) == [k3.lattice.zero()]
     assert g.basic_classes(e3) == [-e3.k, e3.k]
     assert g.basic_classes(e23) == [r * e23.k for r in (-7, -5, -3, -1, 1, 3, 5, 7)]
+
+
+def test_basic_classes_cap():
+    cap = g.elliptic.MAX_BASIC_CLASSES
+    # E(2;1,q) has d = q - 1, so q basic classes
+    assert len(g.basic_classes(g.make_surface(2, 1, cap))) == cap
+    big = "9" * 1999
+    for s in (g.make_surface(2, 1, cap + 1), g.parse_surface(f"E(2;{big}8,{big}9)")):
+        with pytest.raises(g.BadParameters):
+            g.basic_classes(s)
+
+
+def test_surface_parameters_and_phi_alpha_must_be_ints(e3):
+    for bad in [(2, True, 3), (2, 1.0, 1), (3.0, 1, 1)]:
+        with pytest.raises(g.BadParameters):
+            g.make_surface(*bad)
+    for alpha in (2.7, True, "2"):
+        with pytest.raises(g.PreconditionFailed):
+            g.phi_isometry(e3, alpha)
+
+
+def test_records_store_only_independent_fields():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(g.Lattice) == ["blocks", "basis_names"]
+    assert names(g.EllipticSurface) == ["n", "p", "q"]
+    assert names(g.ReductionResult) == ["input", "canonical", "certificate"]
+    assert names(g.GenusVerdict) == [
+        "lower_bound", "realized", "rule", "negative_square_note", "certificate"
+    ]
 
 
 def test_basic_classes_symmetry_and_extremes():

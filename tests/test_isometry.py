@@ -50,6 +50,19 @@ def test_verify_rejects_wrong_size(H2):
         g.verify_isometry(H2, [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.9, 0], [0, 1.5]],  # int() would truncate this to the identity
+        [[True, False], [False, True]],
+        [[1, 0], [0, "1"]],
+    ],
+)
+def test_verify_refuses_non_integer_entries(H, matrix):
+    with pytest.raises(g.NotAnIsometry):
+        g.verify_isometry(H, matrix)
+
+
 def test_random_generator_products_verify(H2E8):
     # closure under composition: every random word in the generator
     # pool passes the Gram check, and any single-entry corruption fails
@@ -309,7 +322,7 @@ def test_realizability_non_k3(e3):
 def test_isometry_json_round_trip(H2):
     iso = g.minus_identity_on_blocks(H2, [0])
     doc = iso.to_json_dict()
-    back = g.isometry_from_json_dict(doc)
+    back = g.isometry_from_json_dict(doc, H2)
     assert back.matrix == iso.matrix
     assert back.to_json_dict() == doc
 
@@ -330,11 +343,11 @@ def test_isometry_json_round_trip(H2):
         [[1, 0], [0, 1]],
     ],
 )
-def test_isometry_json_malformed_is_parse_error(doc):
+def test_isometry_json_malformed_is_parse_error(H, doc):
     with pytest.raises(g.ParseError):
-        g.isometry_from_json_dict(doc)
+        g.isometry_from_json_dict(doc, H)
 
 
-def test_isometry_json_non_isometry_still_rejected():
+def test_isometry_json_non_isometry_still_rejected(H):
     with pytest.raises(g.NotAnIsometry):
-        g.isometry_from_json_dict({"lattice": "H", "matrix": [[1, 1], [0, 1]]})
+        g.isometry_from_json_dict({"lattice": "H", "matrix": [[1, 1], [0, 1]]}, H)

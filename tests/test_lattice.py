@@ -297,6 +297,13 @@ def test_parse_class_dense_and_sparse(H2):
     assert g.parse_class(H2, "R=5", aliases={"R": "e1"}).coords == (5, 0, 0, 0)
 
 
+@pytest.mark.parametrize("coords", [(1.7, 2.2), (1.0, 0), (True, 0), ("1", 0)])
+def test_hclass_refuses_non_integer_coordinates(H, coords):
+    # int() would turn (1.7, 2.2) into (1, 2)
+    with pytest.raises(g.BadParameters):
+        H.hclass(coords)
+
+
 def test_parse_class_errors(H2):
     with pytest.raises(g.ParseError):
         g.parse_class(H2, "nope=1")
@@ -321,7 +328,7 @@ def test_lattice_json_round_trip(H2E8):
 def test_hclass_json_round_trip(H2):
     x = H2.hclass([1, -2, 0, 7])
     doc = json.loads(json.dumps(x.to_json_dict()))
-    y = g.hclass_from_json_dict(doc)
+    y = g.hclass_from_json_dict(doc, H2)
     assert y.coords == x.coords
     assert y.lattice.gram == x.lattice.gram
 
@@ -357,6 +364,6 @@ def test_lattice_json_malformed_is_parse_error(doc):
         {"lattice": "H", "coords": "1,0"},
     ],
 )
-def test_hclass_json_malformed_is_parse_error(doc):
+def test_hclass_json_malformed_is_parse_error(H, doc):
     with pytest.raises(g.ParseError):
-        g.hclass_from_json_dict(doc)
+        g.hclass_from_json_dict(doc, H)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -414,7 +415,7 @@ def test_sphere_reduction_preconditions(e3):
 def test_reduction_result_json_round_trip(H2):
     res = g.reduce_even(H2, H2.hclass([1, 1, 1, 1]), 0)
     doc = res.to_json_dict()
-    back = g.reduction_result_from_json_dict(doc)
+    back = g.reduction_result_from_json_dict(doc, H2)
     assert back.to_json_dict() == doc
 
 
@@ -439,10 +440,10 @@ def test_reduction_result_json_malformed_is_parse_error(H2, key, value):
     doc = g.reduce_even(H2, H2.hclass([1, 1, 1, 1]), 0).to_json_dict()
     doc[key] = value
     with pytest.raises(g.ParseError):
-        g.reduction_result_from_json_dict(doc)
+        g.reduction_result_from_json_dict(doc, H2)
     del doc[key]
     with pytest.raises(g.ParseError):
-        g.reduction_result_from_json_dict(doc)
+        g.reduction_result_from_json_dict(doc, H2)
 
 
 def test_reduction_result_json_with_false_claims_is_parse_error(H2):
@@ -452,7 +453,7 @@ def test_reduction_result_json_with_false_claims_is_parse_error(H2):
     assert doc["canonical"] == [1, 2, 0, 0]
     doc.update(canonical=[7, 7, 7, 7], spinor=-1, fixes_k=False)
     with pytest.raises(g.ParseError):
-        g.reduction_result_from_json_dict(doc)
+        g.reduction_result_from_json_dict(doc, H2)
 
 
 def _reflection_doc(e3):
@@ -474,7 +475,7 @@ def _reflection_doc(e3):
 
 def test_reduction_result_json_true_claims_load(e3):
     doc = _reflection_doc(e3)
-    assert g.reduction_result_from_json_dict(doc).to_json_dict() == doc
+    assert g.reduction_result_from_json_dict(doc, e3.lattice).to_json_dict() == doc
 
 
 @pytest.mark.parametrize(
@@ -490,19 +491,50 @@ def test_reduction_result_json_one_false_claim_is_parse_error(e3, key, value):
     doc = _reflection_doc(e3)
     doc[key] = doc[value] if value == "input" else value
     with pytest.raises(g.ParseError):
-        g.reduction_result_from_json_dict(doc)
+        g.reduction_result_from_json_dict(doc, e3.lattice)
 
 
 def test_surface_reduction_json_round_trip(k3, e3):
-    # the document records only the lattice spec; a surface-model spec
-    # is read back with k and W named, so false fixes claims still load
+    # the document records only the lattice spec; loaded over the surface
+    # lattice, k and W keep their names, so false fixes claims still load
     results = [
         g.reduce_in_elliptic(k3, k3.parse_class("k=1,W=1")),
         g.sphere_reduction(e3, e3.parse_class("k=1,e1=1,f1=-1")),
     ]
     assert [(r.fixes_k, r.fixes_W) for r in results] == [(False, False), (True, False)]
     for res in results:
-        assert g.reduction_result_from_json_dict(res.to_json_dict()) == res
+        assert g.reduction_result_from_json_dict(res.to_json_dict(), res.input.lattice) == res
+
+
+def test_documents_over_a_surface_load_back_equal(e3):
+    lat = e3.lattice
+    x = e3.parse_class("k=2,e1=3,f1=-4,e2=1,f2=5,x1_1=1")
+    res = g.reduce_in_elliptic(e3, x)
+
+    def trip(obj):
+        return json.loads(json.dumps(obj.to_json_dict()))
+
+    assert g.hclass_from_json_dict(trip(x), lat) == x
+    assert g.isometry_from_json_dict(trip(res.certificate), lat) == res.certificate
+    assert g.reduction_result_from_json_dict(trip(res), lat) == res
+
+
+def test_documents_over_another_lattice_are_parse_errors(H2):
+    res = g.reduce_even(H2, H2.hclass([1, 1, 1, 1]), 0)
+    loaders = {
+        res.input: g.hclass_from_json_dict,
+        res.certificate: g.isometry_from_json_dict,
+        res: g.reduction_result_from_json_dict,
+    }
+    for obj, load in loaders.items():
+        doc = obj.to_json_dict()
+        for other in ("H',H", "2H,E8-"):
+            with pytest.raises(g.ParseError):
+                load(doc, g.lattice_from_spec(other))
+        # the spec must be the lattice's own spelling
+        for spec in ("H,H", "H',H", None):
+            with pytest.raises(g.ParseError):
+                load(dict(doc, lattice=spec), H2)
 
 
 def test_reduction_json_on_a_surface_shaped_spec_with_default_names():
@@ -513,4 +545,4 @@ def test_reduction_json_on_a_surface_shaped_spec_with_default_names():
     res = g.reduce_even(lat, lat.hclass((1, 1, 1, 1) + (0,) * (lat.rank - 4)), 0)
     assert (res.spinor, res.fixes_k, res.fixes_W) == (1, True, True)
     assert not g.fixes_class(res.certificate, lat.basis_class(0))
-    assert g.reduction_result_from_json_dict(res.to_json_dict()) == res
+    assert g.reduction_result_from_json_dict(res.to_json_dict(), lat) == res
