@@ -8,6 +8,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -28,9 +29,16 @@ from .reduction import reduce_in_elliptic
 _BUDGET_ENV = "GENUS_LATTICE_BUDGET"
 
 
+class _HelpRequested(Exception):
+    """--help: carries the usage text for run to write to its stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -157,12 +165,12 @@ def _fmt_basic(rs) -> str:
     return " ".join("0" if r == 0 else f"{r}k" for r in rs)
 
 
-def _cmd_info(args, out, err) -> int:
+def _cmd_info(args, out, err) -> None:
     surface = _load_surface(args)
     doc = _surface_summary(surface)
     if args.json:
         _emit_json(doc, out)
-        return 0
+        return
     out.write(f"surface: {doc['surface']}\n")
     out.write(f"n: {doc['n']}\np: {doc['p']}\nq: {doc['q']}\n")
     out.write(f"d: {doc['d']}\nspin: {_bool(doc['spin'])}\n")
@@ -172,42 +180,39 @@ def _cmd_info(args, out, err) -> int:
     out.write(f"signature: ({doc['sig_pos']},{doc['sig_neg']})\n")
     rs = doc["basic_classes"]
     out.write(f"basic classes ({len(rs)}): {_fmt_basic(rs)}\n")
-    return 0
 
 
-def _cmd_basic(args, out, err) -> int:
+def _cmd_basic(args, out, err) -> None:
     surface = _load_surface(args)
     rs = list(basic_range(surface))
     if args.json:
         _emit_json({"surface": surface.spec, "basic_classes": rs}, out)
-        return 0
+        return
     out.write(f"basic classes ({len(rs)}): {_fmt_basic(rs)}\n")
-    return 0
 
 
-def _cmd_class(args, out, err) -> int:
+def _cmd_class(args, out, err) -> None:
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
     doc = _class_summary(surface, a)
     if args.json:
         _emit_json(doc, out)
-        return 0
+        return
     out.write(f"class: {a.pretty()}\n")
     out.write(f"square: {doc['square']}\n")
     out.write(f"divisibility: {doc['divisibility']}\n")
     out.write(f"characteristic: {_bool(doc['characteristic'])}\n")
     out.write(f"k.A: {doc['k_dot']}\n")
     out.write(f"K.A: {doc['K_dot']}\n")
-    return 0
 
 
-def _cmd_genus(args, out, err) -> int:
+def _cmd_genus(args, out, err) -> None:
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
     verdict = min_genus(surface, a)
     if args.json:
         _emit_json(verdict.to_json_dict(), out)
-        return 0
+        return
     out.write(f"status: {verdict.status.value}\n")
     out.write(f"rule: {verdict.rule.value}\n")
     out.write(f"lower_bound: {verdict.lower_bound}\n")
@@ -220,43 +225,39 @@ def _cmd_genus(args, out, err) -> int:
             f"certificate: canonical={c.canonical.pretty()} spinor={c.spinor:+d} "
             f"fixes_k={_bool(c.fixes_k)} fixes_W={_bool(c.fixes_W)}\n"
         )
-    return 0
 
 
-def _cmd_reduce(args, out, err) -> int:
+def _cmd_reduce(args, out, err) -> None:
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
     res = reduce_in_elliptic(surface, a)
     if args.json:
         _emit_json(res.to_json_dict(), out)
-        return 0
+        return
     out.write(f"input: {res.input.pretty()}\n")
     out.write(f"canonical: {res.canonical.pretty()}\n")
     out.write(f"spinor: {res.spinor:+d}\n")
     out.write(f"fixes_k: {_bool(res.fixes_k)}\n")
     out.write(f"fixes_W: {_bool(res.fixes_W)}\n")
-    return 0
 
 
-def _cmd_spinor(args, out, err) -> int:
+def _cmd_spinor(args, out, err) -> None:
     lattice = _load_lattice(args)
     iso = verify_isometry(lattice, _load_matrix(args.matrix))
     nu = spinor_norm(canonical_frame(lattice), iso)
     if args.json:
         _emit_json({"spinor": nu}, out)
-        return 0
+        return
     out.write(f"{nu:+d}\n")
-    return 0
 
 
-def _cmd_verify(args, out, err) -> int:
+def _cmd_verify(args, out, err) -> None:
     lattice = _load_lattice(args)
     verify_isometry(lattice, _load_matrix(args.matrix))
     if args.json:
         _emit_json({"ok": True}, out)
-        return 0
+        return
     out.write("ok\n")
-    return 0
 
 
 def _budget(args) -> int:
@@ -273,7 +274,7 @@ def _budget(args) -> int:
     return budget
 
 
-def _cmd_oracle(args, out, err) -> int:
+def _cmd_oracle(args, out, err) -> None:
     lattice = _load_lattice(args)
     budget = _budget(args)
     seeds = enumerate_vectors(lattice, args.square, args.div, args.bound, max_states=budget)
@@ -286,10 +287,12 @@ def _cmd_oracle(args, out, err) -> int:
         max_states=budget,
         include_witnesses=args.witnesses,
         progress=err,
+        square=args.square,
+        divisibility=args.div,
     )
     if args.json:
         _emit_json(report.to_json_dict(), out)
-        return 0
+        return
     doc = report.to_json_dict()
     for key in (
         "lattice",
@@ -303,7 +306,6 @@ def _cmd_oracle(args, out, err) -> int:
         out.write(f"{key}: {doc[key]}\n")
     if report.witnesses is not None:
         out.write(f"witnesses: {len(report.witnesses)}\n")
-    return 0
 
 
 _COMMANDS = {
@@ -319,21 +321,24 @@ _COMMANDS = {
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
+    """Run one verb; its stdout is written only once it has succeeded."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    buf = io.StringIO()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help
-            return int(exc.code or 0)
-        return _COMMANDS[args.verb](args, out, err)
+        args = _build_parser().parse_args(argv)
+        _COMMANDS[args.verb](args, buf, err)
+    except _HelpRequested as exc:
+        buf.write(exc.args[0])
     except BudgetExceeded as exc:
         err.write(f"error: {exc}\n")
         return 3
-    except LatticeError as exc:
+    except (LatticeError, ValueError) as exc:
+        # ValueError: an output integer past Python's int-to-str digit limit
         err.write(f"error: {exc}\n")
         return 2
+    out.write(buf.getvalue())
+    return 0
 
 
 def main() -> None:

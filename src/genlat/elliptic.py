@@ -18,12 +18,13 @@ from functools import cached_property
 from .errors import (
     BadParameters,
     InvariantViolation,
-    LatticeMismatch,
     ParseError,
     PreconditionFailed,
     ZeroClass,
 )
-from .lattice import Block, HClass, Lattice, check_rank, decimal_int, make_lattice, parse_class
+from .lattice import (
+    Block, HClass, Lattice, check_rank, check_same_lattice, decimal_int, make_lattice, parse_class,
+)
 from .reduction import ReductionResult, reduce_in_elliptic, sphere_reduction
 
 _CLASS_ALIASES = {"R": "e1", "T": "f1"}
@@ -190,8 +191,7 @@ class GenusVerdict:
 
 
 def _check_class(surface: EllipticSurface, a: HClass) -> None:
-    if a.lattice != surface.lattice:
-        raise LatticeMismatch("class is not over the surface model lattice")
+    check_same_lattice(surface.lattice, a.lattice)
     if a.is_zero:
         raise ZeroClass("the zero class has no genus verdict")
 

@@ -17,7 +17,6 @@ from . import intmat
 from .errors import (
     BadTransvectionData,
     DegenerateFrame,
-    LatticeMismatch,
     NonIntegralReflection,
     NotAnIsometry,
 )
@@ -27,6 +26,7 @@ from .lattice import (
     Lattice,
     check_ints,
     check_json_lattice,
+    check_same_lattice,
     json_field,
     json_int_rows,
 )
@@ -48,8 +48,7 @@ class Isometry:
         return intmat.vecmat(coords, self._columns)
 
     def __call__(self, x: HClass) -> HClass:
-        if self.lattice is not x.lattice and self.lattice != x.lattice:
-            raise LatticeMismatch("class and isometry live over different lattices")
+        check_same_lattice(self.lattice, x.lattice)
         return HClass(self.lattice, self.apply(x.coords))
 
     def determinant(self) -> int:
@@ -131,21 +130,18 @@ def _is_unit(col, i: int) -> bool:
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
     """Apply b first, then a."""
-    if a.lattice is not b.lattice and a.lattice != b.lattice:
-        raise LatticeMismatch("cannot compose isometries over different lattices")
+    check_same_lattice(a.lattice, b.lattice)
     return Isometry(a.lattice, intmat.matmul(a.matrix, b.matrix))
 
 
 def fixes_class(m: Isometry, x: HClass) -> bool:
-    if m.lattice is not x.lattice and m.lattice != x.lattice:
-        raise LatticeMismatch("class and isometry live over different lattices")
+    check_same_lattice(m.lattice, x.lattice)
     return m.apply(x.coords) == x.coords
 
 
 def reflection(lattice: Lattice, v: HClass) -> Isometry:
     """The reflection x -> x - 2(x.v)/v^2 * v, when it is integral."""
-    if v.lattice is not lattice and v.lattice != lattice:
-        raise LatticeMismatch("vector lives over a different lattice")
+    check_same_lattice(lattice, v.lattice)
     v2 = v.square()
     if v2 == 0:
         raise NonIntegralReflection("cannot reflect in a vector of square zero")
@@ -169,8 +165,7 @@ def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
     result is unipotent with spinor norm +1.
     """
     for y in (u, v):
-        if y.lattice is not lattice and y.lattice != lattice:
-            raise LatticeMismatch("vector lives over a different lattice")
+        check_same_lattice(lattice, y.lattice)
     if u.square() != 0:
         raise BadTransvectionData("u must be isotropic")
     if u.dot(v) != 0:
@@ -277,8 +272,7 @@ def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
     column of B differs from D enter the determinant.  Other frames
     take the full determinant.
     """
-    if frame.lattice is not m.lattice and frame.lattice != m.lattice:
-        raise LatticeMismatch("frame and isometry live over different lattices")
+    check_same_lattice(frame.lattice, m.lattice)
     n = m.lattice.rank
     cols = m._columns
     d = frame._gram
@@ -317,8 +311,7 @@ def realizability(surface, m: Isometry) -> Realizability:
     other elliptic surface the image is only known to contain the
     k-fixing spinor-norm-1 subgroup, so a miss returns UNKNOWN.
     """
-    if m.lattice != surface.lattice:
-        raise LatticeMismatch("isometry is not over the surface model lattice")
+    check_same_lattice(surface.lattice, m.lattice)
     nu = spinor_norm(canonical_frame(surface.lattice), m)
     if surface.is_k3:
         return Realizability.REALIZABLE if nu == 1 else Realizability.NOT_REALIZABLE

@@ -245,6 +245,13 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
     return Lattice(blocks, basis_names)
 
 
+def check_same_lattice(a: Lattice, b: Lattice) -> None:
+    """LatticeMismatch unless lattices a and b are equal; the identity
+    test comes first, since operands nearly always share one Lattice."""
+    if a is not b and a != b:
+        raise LatticeMismatch("operands live over different lattices")
+
+
 def check_rank(rank: int) -> None:
     if rank > MAX_RANK:
         raise BadParameters(f"rank {rank} exceeds the cap of {MAX_RANK}")
@@ -274,12 +281,8 @@ class HClass:
         check_ints(coords, BadParameters, "class coordinates")
         object.__setattr__(self, "coords", coords)
 
-    def _check_same(self, other: "HClass"):
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise LatticeMismatch("classes live over different lattices")
-
     def dot(self, other: "HClass") -> int:
-        self._check_same(other)
+        check_same_lattice(self.lattice, other.lattice)
         return self.lattice.pair(self.coords, other.coords)
 
     def square(self) -> int:
@@ -301,11 +304,11 @@ class HClass:
         return all((a - d) % 2 == 0 for a, d in zip(gx, diagonal))
 
     def __add__(self, other: "HClass") -> "HClass":
-        self._check_same(other)
+        check_same_lattice(self.lattice, other.lattice)
         return HClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "HClass") -> "HClass":
-        self._check_same(other)
+        check_same_lattice(self.lattice, other.lattice)
         return HClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "HClass":

@@ -31,11 +31,11 @@ DEFAULT_BUDGET = 10**6
 @dataclass(frozen=True)
 class OrbitReport:
     """Orbit statistics among the in-bound vectors of one square and
-    divisibility."""
+    divisibility (None when neither the caller nor a seed gave them)."""
 
     lattice: Lattice
-    square: int
-    divisibility: int
+    square: int | None
+    divisibility: int | None
     coord_bound: int
     vectors_found: int
     orbit_count_full: int
@@ -169,6 +169,9 @@ def orbit_bfs(
     max_states: int = DEFAULT_BUDGET,
     include_witnesses: bool = False,
     progress=None,
+    *,
+    square: int | None = None,
+    divisibility: int | None = None,
 ) -> OrbitReport:
     """Close the seed set under the generators, truncated at the
     coordinate bound, and count orbits for the full generator set and
@@ -179,16 +182,17 @@ def orbit_bfs(
     among the seeds reachable through in-bound intermediate vectors.
     One sweep applies each generator to each seed once and feeds both
     counts; the budget counts each (seed, generator) application once.
+
+    The report's square and divisibility are the given ones, which every
+    seed must have, or else those the seeds share (None with no seeds).
     """
     seeds = list(seeds)
     seed_coords = sorted({s.coords for s in seeds})
     if seeds:
-        sq = seeds[0].square()
-        div = seeds[0].divisibility()
-        if any(s.square() != sq or s.divisibility() != div for s in seeds):
-            raise PreconditionFailed("seeds must share square and divisibility")
-    else:
-        sq = div = 0
+        square = seeds[0].square() if square is None else square
+        divisibility = seeds[0].divisibility() if divisibility is None else divisibility
+    if any(s.square() != square or s.divisibility() != divisibility for s in seeds):
+        raise PreconditionFailed("seeds must share the report's square and divisibility")
     frame = canonical_frame(lattice)
     gens = [(g.matrix, spinor_norm(frame, g) == 1) for g in generators]
 
@@ -221,8 +225,8 @@ def orbit_bfs(
         witnesses = _witnesses(lattice, seed_coords, spin, steps)
     return OrbitReport(
         lattice=lattice,
-        square=sq,
-        divisibility=div,
+        square=square,
+        divisibility=divisibility,
         coord_bound=bound,
         vectors_found=len(seed_coords),
         orbit_count_full=full.component_count(),

@@ -10,7 +10,7 @@ acting blocks form L0.  Writing x = a e1 + b f1 + c e2 + g f2 + w with
 w in L0, four shapes of transvection act as elementary row and column
 additions on the 2x2 integer matrix N = [[a, c], [-g, b]] and leave w
 alone, two more shapes trade material between (a, b) and w.  The
-reduction is staged:
+reduction is staged, and builds its certificate as it goes:
 
 1. if all four pair coordinates vanish, one transvection pulls a
    non-zero pairing of w into a;
@@ -19,6 +19,10 @@ reduction is staged:
    gcd(a, b) = 1 without disturbing anything else;
 4. with the gcd equal to 1, elementary additions reach N = diag(1, ab);
 5. a single transvection E_{f1, w} absorbs the leftover w.
+
+Stages 2 and 4 are each applied as one pair-block step: their additions
+multiply out to N -> L N R, applied once to the class and to the pair
+rows of the certificate.
 
 The class ends at e1 + s f1 with 2s its square; scaling by the
 divisibility d gives the canonical form d(e1 + s' f1) in general.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from . import intmat
 from .errors import (
@@ -56,6 +61,7 @@ from .lattice import (
     Lattice,
     check_ints,
     check_json_lattice,
+    check_same_lattice,
     json_field,
     json_int_rows,
     json_ints,
@@ -191,10 +197,8 @@ def diagonalize_ops(matrix, corner_one: bool = False):
     """
     n = [list(matrix[0]), list(matrix[1])]
     ops: list[tuple[str, int]] = []
-    if corner_one:
-        g = math.gcd(n[0][0], n[0][1], n[1][0], n[1][1])
-        if g != 1:
-            raise PreconditionFailed("corner_one needs gcd 1 entries")
+    if corner_one and math.gcd(*n[0], *n[1]) != 1:
+        raise PreconditionFailed("corner_one needs gcd 1 entries")
     for _ in range(_MAX_DIAG_ROUNDS):
         if n[0][0] == 0 and (n[1][0] or n[0][1] or n[1][1]):
             if n[1][0]:
@@ -205,9 +209,7 @@ def diagonalize_ops(matrix, corner_one: bool = False):
                 _emit(n, ops, "R1", 1)
                 _emit(n, ops, "C1", 1)
         if n[1][0] == 0 and n[0][1] == 0:
-            if not corner_one:
-                return ops, (tuple(n[0]), tuple(n[1]))
-            if n[0][0] == 1:
+            if not corner_one or n[0][0] == 1:
                 return ops, (tuple(n[0]), tuple(n[1]))
             if n[0][0] == -1:
                 for op, t in _NEG_IDENTITY_OPS:
@@ -223,16 +225,14 @@ def diagonalize_ops(matrix, corner_one: bool = False):
 # -- the transvection engine ---------------------------------------------------
 
 class _Reducer:
-    """Drives one class to e1 + s f1 with logged transvection moves."""
+    """Drives one class to e1 + s f1, building its certificate as it goes."""
 
     def __init__(self, lattice: Lattice, coords, target_block: int, acting):
         self.lattice = lattice
         blocks = lattice.blocks
         for i in acting:
             if not blocks[i].is_even:
-                raise PreconditionFailed(
-                    "acting sublattice must consist of even blocks"
-                )
+                raise PreconditionFailed("acting sublattice must consist of even blocks")
         hyper = [i for i in acting if blocks[i] is Block.HYPERBOLIC]
         if target_block not in acting or blocks[target_block] is not Block.HYPERBOLIC:
             raise PreconditionFailed(
@@ -250,57 +250,65 @@ class _Reducer:
         acting_idx = set()
         for i in acting:
             acting_idx.update(lattice.block_range(i))
-        self.rest = sorted(
-            acting_idx - {self.e1, self.f1, self.e2, self.f2}
-        )
-        outside = [i for i in range(lattice.rank) if i not in acting_idx]
-        if any(coords[i] for i in outside):
-            raise PreconditionFailed(
-                "class is not supported in the acting sublattice"
-            )
+        self.rest = sorted(acting_idx - {self.e1, self.f1, self.e2, self.f2})
+        if any(coords[i] for i in range(lattice.rank) if i not in acting_idx):
+            raise PreconditionFailed("class is not supported in the acting sublattice")
         self.y = list(coords)
-        self.moves: list[tuple[intmat.Vector, intmat.Vector]] = []
-
-    def _unit(self, index: int, scale: int = 1) -> list[int]:
-        v = [0] * self.lattice.rank
-        v[index] = scale
-        return v
+        self.m = intmat.identity_rows(lattice.rank)
 
     def move(self, u, v) -> None:
-        """Apply E_{u,v} to the running class and log it."""
-        pair = self.lattice.pair
-        yu = pair(u, self.y)
-        yv = pair(v, self.y)
+        """Apply E_{u,v} to the running class and to the certificate."""
+        lattice = self.lattice
+        pair = lattice.pair
         v2 = pair(v, v)
         if pair(u, u) != 0 or pair(u, v) != 0 or v2 % 2 != 0:
             raise InvariantViolation("E_{u,v} needs u.u = 0, u.v = 0 and v.v even")
-        cu = yv - (v2 // 2) * yu
-        for r in range(self.lattice.rank):
-            self.y[r] += cu * u[r] - yu * v[r]
-        self.moves.append((tuple(u), tuple(v)))
+        # E_{u,v} = I + u (Gv)^T - (v + (v^2/2) u) (Gu)^T
+        gu = lattice.gram_apply(u)
+        gv = lattice.gram_apply(v)
+        minus_z = [-(a + v2 // 2 * b) for a, b in zip(v, u)]
+        m = self.m
+        p = intmat.vecmat(gv, m)
+        q = intmat.vecmat(gu, m)
+        intmat.add_outer(m, u, p)
+        intmat.add_outer(m, minus_z, q)
+        y = self.y
+        yv, yu = pair(v, y), pair(u, y)
+        for r in range(lattice.rank):
+            y[r] += yv * u[r] + yu * minus_z[r]
 
-    def replay(self, ops) -> None:
-        e1, f1, e2, f2 = self.e1, self.f1, self.e2, self.f2
+    def block(self, ops) -> None:
+        """Apply the transvections of the 2x2 ops as one step N -> L N R,
+        L the product of the row ops and R that of the column ops: to the
+        class and to each certificate column the four pair rows reach.
+
+        R1, R2, C1 and C2 with step t stand for E_{e1, -t e2},
+        E_{f1, t f2}, E_{e1, t f2} and E_{f1, -t e2}.
+        """
+        l, r = [[1, 0], [0, 1]], [[1, 0], [0, 1]]
         for op, t in ops:
-            if op == "R1":
-                self.move(self._unit(e1), self._unit(e2, -t))
-            elif op == "R2":
-                self.move(self._unit(f1), self._unit(f2, t))
-            elif op == "C1":
-                self.move(self._unit(e1), self._unit(f2, t))
-            else:  # C2
-                self.move(self._unit(f1), self._unit(e2, -t))
+            _apply_op(l if op[0] == "R" else r, op, t)
+        (l00, l01), (l10, l11) = l
+        (r00, r01), (r10, r11) = r
+
+        def lnr(a, b, c, g):
+            # (a, b, c, g) of L N R
+            x00, x01 = l00 * a - l01 * g, l00 * c + l01 * b
+            x10, x11 = l10 * a - l11 * g, l10 * c + l11 * b
+            return (x00 * r00 + x01 * r10, x10 * r01 + x11 * r11,
+                    x00 * r01 + x01 * r11, -(x10 * r00 + x11 * r10))
+
+        e1, f1, e2, f2 = self.e1, self.f1, self.e2, self.f2
+        y = self.y
+        y[e1], y[f1], y[e2], y[f2] = lnr(y[e1], y[f1], y[e2], y[f2])
+        rows = ra, rb, rc, rg = [self.m[i] for i in (e1, f1, e2, f2)]
+        cols = range(self.lattice.rank)
+        for j in set().union(*(compress(cols, row) for row in rows)):
+            ra[j], rb[j], rc[j], rg[j] = lnr(ra[j], rb[j], rc[j], rg[j])
 
     def pair_matrix(self) -> intmat.Matrix:
-        a, b = self.y[self.e1], self.y[self.f1]
-        c, g = self.y[self.e2], self.y[self.f2]
-        return ((a, c), (-g, b))
-
-    def rest_component(self) -> list[int]:
-        v = [0] * self.lattice.rank
-        for i in self.rest:
-            v[i] = self.y[i]
-        return v
+        y = self.y
+        return ((y[self.e1], y[self.e2]), (-y[self.f2], y[self.f1]))
 
     # the five stages
 
@@ -310,27 +318,28 @@ class _Reducer:
             # stage 1: pull a pairing of w into the e1 coordinate
             gy = self.lattice.gram_apply(y)
             i = next(i for i in self.rest if gy[i] != 0)
-            self.move(self._unit(self.e1), self._unit(i))
+            self.move(self.lattice.unit_coords(self.e1), self.lattice.unit_coords(i))
         # stage 2: diagonalize the pair matrix
         ops, _ = diagonalize_ops(self.pair_matrix())
-        self.replay(ops)
+        self.block(ops)
         if y[self.e2] != 0 or y[self.f2] != 0 or y[self.e1] == 0:
             raise InvariantViolation("stage 2 left the pair matrix off diagonal")
         # stage 3: force gcd(a, b) = 1, borrowing from w
         a, b = y[self.e1], y[self.f1]
         if math.gcd(a, b) != 1:
-            self.move(self._unit(self.f1), self._coprime_vector(a, b))
+            self.move(self.lattice.unit_coords(self.f1), self._coprime_vector(a, b))
             if math.gcd(y[self.e1], y[self.f1]) != 1:
                 raise InvariantViolation("stage 3 left gcd(a, b) != 1")
         # stage 4: reach a = 1 exactly
-        ops, final = diagonalize_ops(self.pair_matrix(), corner_one=True)
-        self.replay(ops)
+        ops, _ = diagonalize_ops(self.pair_matrix(), corner_one=True)
+        self.block(ops)
         if y[self.e1] != 1 or y[self.e2] != 0 or y[self.f2] != 0:
             raise InvariantViolation("stage 4 did not reach a = 1")
         # stage 5: absorb w
-        w = self.rest_component()
+        w = list(y)  # stage 4 left y = e1 + b f1 + w
+        w[self.e1] = w[self.f1] = 0
         if any(w):
-            self.move(self._unit(self.f1), w)
+            self.move(self.lattice.unit_coords(self.f1), w)
         if any(y[i] for i in range(self.lattice.rank) if i not in (self.e1, self.f1)):
             raise InvariantViolation("stage 5 left the class outside the target block")
 
@@ -361,23 +370,7 @@ class _Reducer:
         raise InvariantViolation("class is not primitive")
 
     def certificate_matrix(self) -> intmat.Matrix:
-        lattice = self.lattice
-        m = intmat.identity_rows(lattice.rank)
-        for u, v in self.moves:
-            # E_{u,v} = I + u (Gv)^T - (v + (v^2/2) u) (Gu)^T
-            gu = lattice.gram_apply(u)
-            gv = lattice.gram_apply(v)
-            h = intmat.dot(gv, v) // 2
-            minus_z = [-(a + h * b) for a, b in zip(v, u)]
-            p = intmat.vecmat(gv, m)
-            q = intmat.vecmat(gu, m)
-            intmat.add_outer(m, u, p)
-            intmat.add_outer(m, minus_z, q)
-        return tuple(map(tuple, m))
-
-
-def _default_acting(lattice: Lattice) -> tuple[int, ...]:
-    return tuple(i for i, b in enumerate(lattice.blocks) if b.is_even)
+        return tuple(map(tuple, self.m))
 
 
 def reduce_even(
@@ -393,14 +386,14 @@ def reduce_even(
     sublattice (all even blocks by default), hence has spinor norm +1
     and is the identity elsewhere.
     """
-    if x.lattice != lattice:
-        raise PreconditionFailed("class lives over a different lattice")
+    check_same_lattice(lattice, x.lattice)
     if x.is_zero:
         raise ZeroClass("cannot reduce the zero class")
-    acting = tuple(acting_blocks) if acting_blocks is not None else _default_acting(lattice)
+    if acting_blocks is None:
+        acting_blocks = [i for i, b in enumerate(lattice.blocks) if b.is_even]
     d = x.divisibility()
     prim = tuple(c // d for c in x.coords)
-    red = _Reducer(lattice, prim, target_block, acting)
+    red = _Reducer(lattice, prim, target_block, tuple(acting_blocks))
     red.run()
     cert = _checked_isometry(lattice, red.certificate_matrix())
     canonical = lattice.hclass(tuple(d * c for c in red.y))
@@ -420,6 +413,18 @@ def _check_image(cert: Isometry, x: HClass, canonical: HClass) -> None:
 _RT_BLOCK = 1  # the (R, T) hyperbolic block of every model lattice
 
 
+def _split_at_k(surface, a_class: HClass) -> tuple[int, HClass, Isometry]:
+    """Split a class orthogonal to k as a k + B, B in the blocks after
+    (k, W): a, B and a certificate supported there that takes B to
+    d(R + s T), the identity when B = 0."""
+    lattice = surface.lattice
+    b = lattice.hclass((0,) + a_class.coords[1:])
+    if b.is_zero:
+        return a_class.coords[0], b, identity_isometry(lattice)
+    acting = tuple(range(1, len(lattice.blocks)))
+    return a_class.coords[0], b, reduce_even(lattice, b, _RT_BLOCK, acting).certificate
+
+
 def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
     """Reduce a class of an elliptic-surface model lattice.
 
@@ -430,22 +435,16 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
     gcd(gamma, delta) = div(B); the certificate fixes k and W.
     """
     lattice = surface.lattice
-    if a_class.lattice != lattice:
-        raise PreconditionFailed("class lives over a different lattice")
+    check_same_lattice(lattice, a_class.lattice)
     if a_class.is_zero:
         raise ZeroClass("cannot reduce the zero class")
     if surface.is_k3:
         return reduce_even(lattice, a_class, _RT_BLOCK)
     if a_class.dot(surface.k) != 0:
         raise NotOrthogonalToK("class must be orthogonal to the canonical class")
-    a = a_class.coords[0]
-    b_coords = list(a_class.coords)
-    b_coords[0] = 0
-    b = lattice.hclass(b_coords)
+    a, b, cert = _split_at_k(surface, a_class)
     if b.is_zero:
-        return ReductionResult(a_class, a_class, identity_isometry(lattice))
-    acting = tuple(range(1, len(lattice.blocks)))
-    cert = reduce_even(lattice, b, _RT_BLOCK, acting).certificate
+        return ReductionResult(a_class, a_class, cert)
     d = b.divisibility()
     s = b.square() // (2 * d * d)
     if s > 0:
@@ -480,8 +479,7 @@ def phi_isometry(surface, alpha: int) -> Isometry:
 def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
     """Map a class orthogonal to K with square -2 to the sphere class S."""
     lattice = surface.lattice
-    if a_class.lattice != lattice:
-        raise PreconditionFailed("class lives over a different lattice")
+    check_same_lattice(lattice, a_class.lattice)
     if a_class.is_zero:
         raise ZeroClass("cannot reduce the zero class")
     if a_class.dot(surface.k) != 0 or a_class.square() != -2:
@@ -490,19 +488,12 @@ def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
         )
     if a_class == surface.S:
         return ReductionResult(a_class, a_class, identity_isometry(lattice))
-    a = a_class.coords[0]
-    b_coords = list(a_class.coords)
-    b_coords[0] = 0
-    b = lattice.hclass(b_coords)
-    acting = tuple(range(1, len(lattice.blocks)))
-    inner = reduce_even(lattice, b, _RT_BLOCK, acting).certificate
+    a, _, inner = _split_at_k(surface, a_class)
     # inner canonical is R - T; reflect in R - T to land on S = T - R
     flip = reflection(lattice, surface.R - surface.T)
     cert = compose(phi_isometry(surface, a), compose(flip, inner))
-    canonical = surface.S
-    if cert.apply(a_class.coords) != canonical.coords:
-        raise InvariantViolation("the certificate does not map the class to S")
-    res = ReductionResult(a_class, canonical, cert)
+    _check_image(cert, a_class, surface.S)
+    res = ReductionResult(a_class, surface.S, cert)
     if res.spinor != 1 or not res.fixes_k:
         raise InvariantViolation("the certificate must have spinor norm +1 and fix k")
     return res

@@ -149,6 +149,19 @@ def test_oracle_orbit_verb():
     assert doc["vectors_found"] > 0
 
 
+def test_oracle_orbit_with_no_vectors_reports_its_query():
+    # 2H has no vector of square 3 with coordinates in [-1, 1]
+    code, out, err = call(
+        ["oracle", "orbit", "--lattice", "2H", "--square", "3", "--bound", "1", "--json"]
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["vectors_found"] == 0
+    assert (doc["square"], doc["divisibility"]) == (3, 1)
+    _, text, _ = call(["oracle", "orbit", "--lattice", "2H", "--square", "3", "--div", "2"])
+    assert "square: 3\ndivisibility: 2\n" in text
+
+
 def test_oracle_budget_exit_code():
     code, _, err = call(
         ["oracle", "orbit", "--lattice", "2H", "--square", "0", "--bound", "2",
@@ -269,6 +282,41 @@ def test_matrix_file_with_oversized_integer_exit_2(tmp_path):
     code, out, err = call(["verify", "--lattice", "H", "--matrix", str(path)])
     _assert_typed_error(code, out, err)
     assert "is not UTF-8 text" in err
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = call(["info", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: genlat info")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_output_integer_past_the_digit_limit_exits_2(json_flag):
+    # the square has about 5000 digits, more than str() converts by default
+    sevens = "7" * 2500
+    code, out, err = call(
+        ["class", "--surface", "E(2)", "--class", f"e1={sevens},f1={sevens}", *json_flag]
+    )
+    _assert_typed_error(code, out, err)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genus_table.py"], ["genus_table.py", "--json"], ["orbit_survey.py", "--bound", "1"]],
+    ids=["genus_table", "genus_table_json", "orbit_survey"],
+)
+def test_scripts_run(argv):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    proc = subprocess.run(
+        [sys.executable, str(scripts / argv[0]), *argv[1:]],
+        env=_src_env(),
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-3000:]
+    assert proc.stdout
 
 
 def _src_env():

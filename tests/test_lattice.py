@@ -262,6 +262,44 @@ def test_lattice_mismatch(H, H2):
         H.zero().dot(H2.zero())
 
 
+# E(3)'s lattice and a lattice with the same blocks and spec but default
+# basis names: equal shapes, so only the lattice check can refuse
+_E3 = g.make_surface(3)
+_OTHER = g.make_lattice(_E3.lattice.blocks)
+
+
+def _theirs(x):
+    return _OTHER.hclass(x.coords)
+
+
+_ID = g.identity_isometry(_E3.lattice)
+_ID_OTHER = g.identity_isometry(_OTHER)
+_MISMATCHED = {
+    "HClass.dot": lambda: _E3.R.dot(_theirs(_E3.T)),
+    "HClass.__add__": lambda: _E3.R + _theirs(_E3.T),
+    "HClass.__sub__": lambda: _E3.R - _theirs(_E3.T),
+    "Isometry.__call__": lambda: _ID(_theirs(_E3.R)),
+    "compose": lambda: g.compose(_ID, _ID_OTHER),
+    "fixes_class": lambda: g.fixes_class(_ID, _theirs(_E3.R)),
+    "reflection": lambda: g.reflection(_E3.lattice, _theirs(_E3.S)),
+    "eichler_transvection_u": lambda: g.eichler_transvection(_E3.lattice, _theirs(_E3.R), _E3.k),
+    "eichler_transvection_v": lambda: g.eichler_transvection(_E3.lattice, _E3.R, _theirs(_E3.k)),
+    "spinor_norm": lambda: g.spinor_norm(g.canonical_frame(_OTHER), _ID),
+    "realizability": lambda: g.realizability(_E3, _ID_OTHER),
+    "adjunction_bound": lambda: g.adjunction_bound(_E3, _theirs(_E3.R)),
+    "min_genus": lambda: g.min_genus(_E3, _theirs(_E3.R)),
+    "reduce_even": lambda: g.reduce_even(_E3.lattice, _theirs(_E3.R + _E3.T), 1),
+    "reduce_in_elliptic": lambda: g.reduce_in_elliptic(_E3, _theirs(_E3.R + _E3.T)),
+    "sphere_reduction": lambda: g.sphere_reduction(_E3, _theirs(_E3.R - _E3.T)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MISMATCHED))
+def test_every_entry_point_refuses_an_operand_over_another_lattice(entry):
+    with pytest.raises(g.LatticeMismatch):
+        _MISMATCHED[entry]()
+
+
 # -- spec strings ----------------------------------------------------------------
 
 def test_spec_string_round_trip():

@@ -184,8 +184,8 @@ def _ref_orbit_bfs(lattice, seeds, generators, bound, include_witnesses=False):
     # orbit_bfs
     seeds = list(seeds)
     seed_coords = sorted({s.coords for s in seeds})
-    sq = seeds[0].square() if seeds else 0
-    div = seeds[0].divisibility() if seeds else 0
+    sq = seeds[0].square() if seeds else None
+    div = seeds[0].divisibility() if seeds else None
     frame = g.canonical_frame(lattice)
     spin1 = [gen for gen in generators if g.spinor_norm(frame, gen) == 1]
 
@@ -288,3 +288,16 @@ def test_orbit_report_json(H2):
     assert doc["lattice"] == "2H"
     assert doc["square"] == 0 and doc["divisibility"] == 1
     assert doc["orbit_count_spinor1"] >= doc["orbit_count_full"]
+
+
+def test_orbit_report_carries_the_given_query(H2):
+    gens = g.default_generators(H2)
+    report = g.orbit_bfs(H2, [], gens, 1, square=3, divisibility=2)
+    assert (report.square, report.divisibility, report.vectors_found) == (3, 2, 0)
+    # with neither seeds nor a query there is nothing to report
+    report = g.orbit_bfs(H2, [], gens, 1)
+    assert (report.square, report.divisibility) == (None, None)
+    seeds = g.enumerate_vectors(H2, 0, 1, 1)
+    assert g.orbit_bfs(H2, seeds, gens, 1, square=0, divisibility=1).vectors_found == len(seeds)
+    with pytest.raises(g.PreconditionFailed):
+        g.orbit_bfs(H2, seeds, gens, 1, square=2, divisibility=1)

@@ -77,6 +77,43 @@ def test_diagonalize_internal_failures_are_typed(monkeypatch):
         diagonalize_ops(((2, 1), (1, 1)))
 
 
+# -- one pair-block step against the transvections it stands for ---------------
+
+_L3E8 = g.lattice_from_spec("3H,E8-")  # e1, f1, e2, f2 are basis vectors 0-3
+_E1, _F1, _E2, _F2 = (_L3E8.basis_class(i) for i in range(4))
+# op -> (u, v) of the transvection E_{u,v} it stands for, with step t
+_OP_UV = {
+    "R1": lambda t: (_E1, -t * _E2),
+    "R2": lambda t: (_F1, t * _F2),
+    "C1": lambda t: (_E1, t * _F2),
+    "C2": lambda t: (_F1, -t * _E2),
+}
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
+    st.booleans(),
+    st.lists(st.integers(-5, 5), min_size=10, max_size=10).filter(any),
+    st.lists(st.integers(-50, 50), min_size=14, max_size=14),
+)
+def test_block_is_the_product_of_its_transvections(entries, corner_one, rest, coords):
+    m = ((entries[0], entries[1]), (entries[2], entries[3]))
+    ops, _ = diagonalize_ops(m, corner_one=corner_one and _gcd4(m) == 1)
+    red = reduction._Reducer(_L3E8, coords, 0, range(len(_L3E8.blocks)))
+    # a start certificate whose pair row f1 reaches columns outside the block
+    w = _L3E8.hclass([0] * 4 + rest)
+    red.move(_F1.coords, w.coords)
+    ref = g.eichler_transvection(_L3E8, _F1, w)
+    assert red.certificate_matrix() == ref.matrix
+    assert any(ref.matrix[1][4:])
+    red.block(ops)
+    for op, t in ops:
+        ref = g.compose(g.eichler_transvection(_L3E8, *_OP_UV[op](t)), ref)
+    assert red.certificate_matrix() == ref.matrix
+    assert tuple(red.y) == ref.apply(coords)
+
+
 # -- reduce_even -----------------------------------------------------------------
 
 def _check_reduction(lattice, res, acting_indices=None):
