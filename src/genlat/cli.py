@@ -119,11 +119,13 @@ def _load_lattice(args) -> Lattice:
 def _load_matrix(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read matrix file {path!r}: {exc}") from None
+            text = fh.read()
     except UnicodeDecodeError:
         raise ParseError(f"matrix file {path!r} is not UTF-8 text") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ParseError(f"cannot read matrix file {path!r}: {exc}") from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"matrix file {path!r} is not valid JSON: {exc}") from None
     except ValueError:  # an integer longer than int() converts

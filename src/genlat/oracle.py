@@ -10,8 +10,11 @@ composition, and search candidates from raw coordinate enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add, mul
 
 from . import intmat
 from .errors import BudgetExceeded, InvariantViolation, LatticeError, PreconditionFailed
@@ -23,7 +26,7 @@ from .isometry import (
     spinor_norm,
     verify_isometry,
 )
-from .lattice import HClass, Lattice
+from .lattice import HClass, Lattice, check_same_lattice
 
 DEFAULT_BUDGET = 10**6
 
@@ -83,12 +86,11 @@ def enumerate_vectors(
         raise BudgetExceeded(
             f"enumeration of {width}^{lattice.rank} vectors exceeds the budget"
         )
-    out = []
-    for coords in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
-        x = lattice.hclass(coords)
-        if x.divisibility() == divisibility and x.square() == square:
-            out.append(x)
-    return out
+    return [
+        lattice.hclass(c)
+        for c in itertools.product(range(-bound, bound + 1), repeat=lattice.rank)
+        if math.gcd(*c) == divisibility and lattice.pair(c, c) == square
+    ]
 
 
 def default_generators(lattice: Lattice) -> list[Isometry]:
@@ -137,8 +139,11 @@ def default_generators(lattice: Lattice) -> list[Isometry]:
 
 
 class _DSU:
+    """Union-find that keeps its component count."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
+        self.count = len(self.parent)
 
     def find(self, x):
         p = self.parent
@@ -149,16 +154,20 @@ class _DSU:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Merge the components of a and b; False if they were one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smaller root for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        self.count -= 1
+        return True
 
-    def component_count(self) -> int:
-        return sum(1 for x in self.parent if self.find(x) == x)
+
+def _row_images(row, cols):
+    """row . x for every seed x, from the seeds held column-wise."""
+    terms = [c if a == 1 else map(mul, itertools.repeat(a), c) for a, c in zip(row, cols) if a]
+    return reduce(partial(map, add), terms)
 
 
 def orbit_bfs(
@@ -180,13 +189,19 @@ def orbit_bfs(
     Isometries preserve square and divisibility, so the truncated
     closure stays inside the seed set and the orbit counts are counts
     among the seeds reachable through in-bound intermediate vectors.
-    One sweep applies each generator to each seed once and feeds both
-    counts; the budget counts each (seed, generator) application once.
+
+    The sweep is generator-major: with the seeds held column-wise, each
+    generator rebuilds only the image rows where its matrix is not the
+    identity, for all seeds at once.  Every image must be an in-bound
+    seed or out of bound; fixed points cost no union, and a count at 1
+    takes no more.  The budget counts each (seed, generator) application.
 
     The report's square and divisibility are the given ones, which every
     seed must have, or else those the seeds share (None with no seeds).
     """
     seeds = list(seeds)
+    for s in seeds:
+        check_same_lattice(lattice, s.lattice)
     seed_coords = sorted({s.coords for s in seeds})
     if seeds:
         square = seeds[0].square() if square is None else square
@@ -196,30 +211,38 @@ def orbit_bfs(
     frame = canonical_frame(lattice)
     gens = [(g.matrix, spinor_norm(frame, g) == 1) for g in generators]
 
-    members = set(seed_coords)
+    # an image outside the bound joins nothing, even when it is a seed
+    members = {x for x in seed_coords if max(map(abs, x), default=0) <= bound}
+    outside = set(seed_coords) - members
+    cols = list(zip(*seed_coords))
+    unit = intmat.identity(lattice.rank)
     full, spin = _DSU(seed_coords), _DSU(seed_coords)
-    # spinor-+1 steps (matrix, image) per seed, in generator order
-    steps = {x: [] for x in seed_coords} if include_witnesses else {}
+    # spinor-+1 steps (matrix, image) onto other seeds, in generator order
+    steps = {x: [] for x in seed_coords} if include_witnesses else None
     applied = 0
-    for x in seed_coords:
-        out = steps.get(x)
-        for m, plus in gens:
-            y = intmat.matvec(m, x)
-            applied += 1
-            if applied > max_states:
-                raise BudgetExceeded(
-                    f"orbit sweep exceeded {max_states} generator applications"
-                )
-            if progress and applied % 50000 == 0:
-                print(f"orbit-bfs: {applied} generator applications", file=progress)
-            if max(map(abs, y), default=0) <= bound:
-                if y not in members:
+    for m, plus in gens:
+        if progress:
+            upto = min(applied + len(seed_coords), max_states)
+            for k in range(applied // 50000 * 50000 + 50000, upto + 1, 50000):
+                print(f"orbit-bfs: {k} generator applications", file=progress)
+        applied += len(seed_coords)
+        if applied > max_states:
+            raise BudgetExceeded(f"orbit sweep exceeded {max_states} generator applications")
+        rows = [c if row == e else _row_images(row, cols) for row, e, c in zip(m, unit, cols)]
+        for x, y in zip(seed_coords, zip(*rows)):
+            if y not in members:
+                if max(map(abs, y), default=0) <= bound:
                     raise InvariantViolation("generator left the seed set")
-                full.union(x, y)
+                if plus and steps is not None and y in outside:
+                    steps[x].append((m, y))
+            elif y != x:
+                if full.count > 1:
+                    full.union(x, y)
                 if plus:
-                    spin.union(x, y)
-                    if out is not None:
-                        out.append((m, y))
+                    if spin.count > 1:
+                        spin.union(x, y)
+                    if steps is not None:
+                        steps[x].append((m, y))
     witnesses = None
     if include_witnesses:
         witnesses = _witnesses(lattice, seed_coords, spin, steps)
@@ -229,8 +252,8 @@ def orbit_bfs(
         divisibility=divisibility,
         coord_bound=bound,
         vectors_found=len(seed_coords),
-        orbit_count_full=full.component_count(),
-        orbit_count_spinor1=spin.component_count(),
+        orbit_count_full=full.count,
+        orbit_count_spinor1=spin.count,
         witnesses=witnesses,
     )
 
@@ -241,7 +264,8 @@ def _witnesses(lattice, seed_coords, dsu, steps):
     The canonical member of each component is its lexicographic
     minimum; certificates come from composing generator matrices along
     a breadth-first tree rooted there, then inverting.  The tree walks
-    the recorded steps of each seed, so no generator is applied again.
+    the recorded steps of each seed, so no generator is applied again,
+    and stops once it spans the component.
     """
     comps: dict[intmat.Vector, list[intmat.Vector]] = {}
     for x in seed_coords:
@@ -251,12 +275,14 @@ def _witnesses(lattice, seed_coords, dsu, steps):
         root = min(members)
         reach = {root: intmat.identity(lattice.rank)}
         queue = deque([root])
-        while queue:
+        left = set(members) - {root}
+        while queue and left:
             x = queue.popleft()
             for m, y in steps[x]:
                 if y not in reach:
                     reach[y] = intmat.matmul(m, reach[x])
                     queue.append(y)
+                    left.discard(y)
         for x in members:
             m = reach[x]  # maps root to x
             cert = verify_isometry(lattice, m).inverse()
@@ -282,6 +308,8 @@ def exhaustive_isometry_search(
     last of them outright, then the remaining columns under the Gram
     conditions alone.  Visited search nodes count against the budget.
     """
+    check_same_lattice(lattice, x.lattice)
+    check_same_lattice(lattice, y.lattice)
     if x.square() != y.square():
         raise PreconditionFailed("x and y must have equal square")
     if x.divisibility() != y.divisibility():

@@ -284,6 +284,13 @@ def test_matrix_file_with_oversized_integer_exit_2(tmp_path):
     assert "is not UTF-8 text" in err
 
 
+def test_matrix_path_with_a_nul_byte_exit_2():
+    for verb in ("verify", "spinor"):
+        code, out, err = call([verb, "--lattice", "H", "--matrix", "a\x00b"])
+        _assert_typed_error(code, out, err)
+        assert err.startswith("error: cannot read matrix file 'a\\x00b'")
+
+
 def test_help_goes_to_the_given_stdout(capsys):
     code, out, err = call(["info", "--help"])
     assert code == 0 and err == ""
@@ -317,6 +324,32 @@ def test_scripts_run(argv):
     )
     assert proc.returncode == 0, proc.stderr.decode()[-3000:]
     assert proc.stdout
+
+
+# the whole stdout of scripts/orbit_survey.py --bound 1
+_SURVEY_BOUND_1 = """\
+lattice  square div  vectors  full  spinor1
+-------------------------------------------
+H             0   1        4     1        2
+H             2   1        2     1        2
+2H            0   1       32     1        1
+2H            2   1       20     1        1
+2H            4   1        4     1        4
+2H           -2   1       20     1        1
+2H            0   2        0     0        0
+"""
+
+
+def test_orbit_survey_table_is_pinned():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "orbit_survey.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--bound", "1"],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, _SURVEY_BOUND_1, "")
 
 
 def _src_env():

@@ -291,6 +291,13 @@ _MISMATCHED = {
     "reduce_even": lambda: g.reduce_even(_E3.lattice, _theirs(_E3.R + _E3.T), 1),
     "reduce_in_elliptic": lambda: g.reduce_in_elliptic(_E3, _theirs(_E3.R + _E3.T)),
     "sphere_reduction": lambda: g.sphere_reduction(_E3, _theirs(_E3.R - _E3.T)),
+    "orbit_bfs": lambda: g.orbit_bfs(_E3.lattice, [_theirs(_E3.R)], [_ID], 1),
+    "exhaustive_isometry_search_x": lambda: g.exhaustive_isometry_search(
+        _E3.lattice, _theirs(_E3.R), _E3.R, 1
+    ),
+    "exhaustive_isometry_search_y": lambda: g.exhaustive_isometry_search(
+        _E3.lattice, _E3.R, _theirs(_E3.R), 1
+    ),
 }
 
 

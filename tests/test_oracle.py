@@ -2,6 +2,8 @@ import io
 from collections import deque
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import genlat as g
 from genlat import intmat
@@ -215,18 +217,24 @@ def _ref_orbit_bfs(lattice, seeds, generators, bound, include_witnesses=False):
     )
 
 
+_ALL_CELLS = [(sq, div) for sq in range(-4, 5) for div in (1, 2)]
+
+
 @pytest.mark.parametrize("witnesses", [False, True])
-@pytest.mark.parametrize("bound", [1, 2])
-@pytest.mark.parametrize("spec", ["H", "2H"])
-def test_orbit_matches_two_sweep_reference(spec, bound, witnesses):
+@pytest.mark.parametrize(
+    "spec,bound,cells",
+    [("H", 1, _ALL_CELLS), ("H", 2, _ALL_CELLS), ("2H", 1, _ALL_CELLS), ("2H", 2, _ALL_CELLS),
+     ("3H", 1, [(2, 1)])],
+    ids=["H-1", "H-2", "2H-1", "2H-2", "3H-1"],
+)
+def test_orbit_matches_two_sweep_reference(spec, bound, cells, witnesses):
     lat = g.lattice_from_spec(spec)
     gens = g.default_generators(lat)
-    for sq in range(-4, 5):
-        for div in (1, 2):
-            seeds = g.enumerate_vectors(lat, sq, div, bound)
-            got = g.orbit_bfs(lat, seeds, gens, bound, include_witnesses=witnesses)
-            want = _ref_orbit_bfs(lat, seeds, gens, bound, include_witnesses=witnesses)
-            assert got.to_json_dict() == want.to_json_dict(), (sq, div)
+    for sq, div in cells:
+        seeds = g.enumerate_vectors(lat, sq, div, bound)
+        got = g.orbit_bfs(lat, seeds, gens, bound, include_witnesses=witnesses)
+        want = _ref_orbit_bfs(lat, seeds, gens, bound, include_witnesses=witnesses)
+        assert got.to_json_dict() == want.to_json_dict(), (sq, div)
 
 
 def test_orbit_budget_counts_each_application_once(H2):
@@ -247,6 +255,84 @@ def test_orbit_progress_line_per_50000_applications(H2):
     err = io.StringIO()
     g.orbit_bfs(H2, seeds, gens, 2, progress=err)
     assert err.getvalue() == "orbit-bfs: 50000 generator applications\n"
+
+
+@pytest.mark.parametrize("max_states", [49999, 50000, 50010])
+def test_orbit_budget_cut_inside_a_generator_batch(H2, max_states):
+    # generator 521 covers applications 49,921 to 50,016, so every cut
+    # falls inside its batch, with 50,000 inside that batch too
+    gens = g.default_generators(H2) * 13
+    seeds = g.enumerate_vectors(H2, 0, 1, 2)
+    assert len(seeds) == 96 and len(seeds) * len(gens) > max_states
+    # a seed-major count: one line per multiple of 50,000 up to the budget
+    want = "".join(
+        f"orbit-bfs: {k} generator applications\n"
+        for k in range(1, max_states + 1)
+        if k % 50000 == 0
+    )
+    err = io.StringIO()
+    with pytest.raises(g.BudgetExceeded) as info:
+        g.orbit_bfs(H2, seeds, gens, 2, max_states=max_states, progress=err)
+    assert str(info.value) == f"orbit sweep exceeded {max_states} generator applications"
+    assert err.getvalue() == want
+
+
+def test_orbit_seeds_outside_the_bound_take_no_union(H2):
+    # at bound 0 every seed lies outside the bound, so no image is a
+    # target: each seed is its own orbit and its own witness root
+    gens = g.default_generators(H2)
+    seeds = g.enumerate_vectors(H2, 2, 1, 1)
+    report = g.orbit_bfs(H2, seeds, gens, 0, include_witnesses=True)
+    assert report.orbit_count_full == report.orbit_count_spinor1 == len(seeds)
+    assert all(vec == root for vec, root, _ in report.witnesses)
+    want = _ref_orbit_bfs(H2, seeds, gens, 0, include_witnesses=True)
+    assert report.to_json_dict() == want.to_json_dict()
+
+
+_H2 = g.lattice_from_spec("2H")
+_H2_GENS = g.default_generators(_H2)
+# (bound, in-bound seeds, seeds of the next shell out) per non-empty 2H cell
+_H2_CELLS = [
+    (
+        bound,
+        g.enumerate_vectors(_H2, sq, div, bound),
+        [x for x in g.enumerate_vectors(_H2, sq, div, bound + 1) if max(map(abs, x.coords)) > bound],
+    )
+    for bound in (1, 2)
+    for sq, div in [(-4, 1), (-2, 1), (0, 1), (2, 1), (4, 1), (0, 2)]
+    if g.enumerate_vectors(_H2, sq, div, bound)
+]
+
+
+@st.composite
+def _seed_sets(draw):
+    """One 2H cell's in-bound seeds, all or a random non-empty subset,
+    plus seeds of the same square and divisibility outside the bound."""
+    bound, cell, shell = draw(st.sampled_from(_H2_CELLS))
+    inside = cell
+    if not draw(st.booleans()):
+        inside = draw(st.lists(st.sampled_from(cell), min_size=1, unique=True))
+    outside = draw(st.lists(st.sampled_from(shell), max_size=8, unique=True)) if shell else []
+    return bound, draw(st.permutations(inside + outside))
+
+
+@settings(max_examples=200)
+@given(_seed_sets(), st.booleans())
+def test_orbit_matches_reference_on_seed_subsets(case, witnesses):
+    # a subset that is not closed under the generators fails the
+    # reference's closure assert (a KeyError under python -O) and must
+    # raise InvariantViolation here; otherwise the reports agree
+    bound, seeds = case
+    try:
+        want = _ref_orbit_bfs(_H2, seeds, _H2_GENS, bound, include_witnesses=witnesses)
+    except (AssertionError, KeyError):
+        event("seeds not closed")  # shown by --hypothesis-show-statistics
+        with pytest.raises(g.InvariantViolation):
+            g.orbit_bfs(_H2, seeds, _H2_GENS, bound, include_witnesses=witnesses)
+        return
+    event(f"reports compared, {'with' if witnesses else 'no'} witnesses")
+    got = g.orbit_bfs(_H2, seeds, _H2_GENS, bound, include_witnesses=witnesses)
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 # -- exhaustive search --------------------------------------------------------------
