@@ -249,8 +249,6 @@ def min_genus(surface: EllipticSurface, a: HClass) -> GenusVerdict:
 
 
 def _exact(c: int, bound: int, rule: Rule, cert: ReductionResult | None) -> GenusVerdict:
-    if c < bound:
-        raise InvariantViolation("realized genus below the adjunction bound")
     if c != bound:
         raise InvariantViolation("exact rules must meet the adjunction bound")
     return GenusVerdict(

@@ -198,46 +198,44 @@ def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:
 
 @dataclass(frozen=True)
 class SpinorFrame:
-    """Integer columns spanning a fixed maximal positive-definite subspace."""
+    """Integer columns spanning a fixed maximal positive-definite subspace.
+
+    make_frame checks a caller's columns; canonical_frame is positive
+    definite by construction.
+    """
 
     lattice: Lattice
     matrix: intmat.Matrix  # rank x sig_pos
 
     @cached_property
-    def _pt_gram(self) -> intmat.Matrix:
-        """P^T G, one row G p per frame column p (G is symmetric)."""
-        return tuple(
-            self.lattice.gram_apply(col) for col in intmat.transpose(self.matrix)
+    def _sparse(self) -> tuple[tuple, tuple]:
+        """(index, entry) pairs of each frame column p and of each G p."""
+        cols = intmat.transpose(self.matrix)
+        return (
+            tuple(map(intmat._nonzeros, cols)),
+            tuple(intmat._nonzeros(self.lattice.gram_apply(p)) for p in cols),
         )
 
     @cached_property
     def _gram(self) -> intmat.Matrix:
-        """P^T G P."""
-        return intmat.matmul(self._pt_gram, self.matrix)
-
-    @cached_property
-    def _sparse(self) -> tuple[tuple, tuple]:
-        """(index, entry) pairs of each frame column p and each row G p."""
-        def nz(row):
-            return tuple((j, x) for j, x in enumerate(row) if x)
-
-        return (
-            tuple(map(nz, intmat.transpose(self.matrix))),
-            tuple(map(nz, self._pt_gram)),
-        )
-
-    @cached_property
-    def _diagonal(self) -> bool:
-        d = self._gram
-        return all(not x or i == j for i, row in enumerate(d) for j, x in enumerate(row))
+        """D = P^T G P, whose entry (a, b) pairs G p_a with p_b."""
+        p_cols, gp_rows = self._sparse
+        p, k = self.matrix, range(len(p_cols))
+        return tuple(tuple(sum(g * p[j][b] for j, g in gp) for b in k) for gp in gp_rows)
 
 
 def make_frame(lattice: Lattice, columns) -> SpinorFrame:
-    cols = [tuple(c.coords) if isinstance(c, HClass) else tuple(c) for c in columns]
+    """The frame with the given columns, classes or integer coordinate
+    sequences over the lattice, once they are checked to span a
+    positive-definite subspace of dimension sig_pos."""
+    cols = []
+    for c in columns:
+        if not isinstance(c, HClass):
+            c = lattice.hclass(c)
+        check_same_lattice(lattice, c.lattice)
+        cols.append(c.coords)
     if len(cols) != lattice.sig_pos:
-        raise DegenerateFrame(
-            f"frame needs {lattice.sig_pos} columns, got {len(cols)}"
-        )
+        raise DegenerateFrame(f"frame needs {lattice.sig_pos} columns, got {len(cols)}")
     p = tuple(tuple(col[r] for col in cols) for r in range(lattice.rank))
     frame = SpinorFrame(lattice, p)
     # Sylvester: positive definite iff every leading principal minor is > 0
@@ -249,16 +247,17 @@ def make_frame(lattice: Lattice, columns) -> SpinorFrame:
 
 @lru_cache(maxsize=None)
 def canonical_frame(lattice: Lattice) -> SpinorFrame:
-    """One positive column e_i + f_i per rank-2 block; mutually orthogonal."""
-    cols = []
-    for i, b in enumerate(lattice.blocks):
-        if b is not Block.MINUS_E8:
-            start = lattice.block_offsets[i]
-            col = [0] * lattice.rank
-            col[start] = 1
-            col[start + 1] = 1
-            cols.append(tuple(col))
-    return make_frame(lattice, cols)
+    """One column e_i + f_i per rank-2 block.
+
+    The columns are mutually orthogonal, of square 2 on H and 3 on H',
+    so D = P^T G P is a positive diagonal matrix by construction; unlike
+    make_frame, nothing is left to check at run time.
+    """
+    starts = [s for b, s in zip(lattice.blocks, lattice.block_offsets) if b is not Block.MINUS_E8]
+    p = [[0] * len(starts) for _ in range(lattice.rank)]
+    for b, s in enumerate(starts):
+        p[s][b] = p[s + 1][b] = 1
+    return SpinorFrame(lattice, tuple(map(tuple, p)))
 
 
 def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
@@ -266,11 +265,11 @@ def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
 
     B = P^T G M P is built a column at a time, as P^T G (M p) from the
     columns of M; a frame column p that M fixes gives the column of
-    D = P^T G P.  When D is diagonal, as for canonical_frame, expanding
-    det B along each column equal to its column of D leaves a positive
-    diagonal entry of D as a factor, so only the frame indices whose
-    column of B differs from D enter the determinant.  Other frames
-    take the full determinant.
+    D = P^T G P.  Expanding det B along a column equal to c e_b with
+    c > 0 leaves c times the minor without row and column b, so every
+    such index is dropped, whatever the frame, and one determinant over
+    the rest gives the sign.  On canonical_frame, D is a positive
+    diagonal, so every frame column that M fixes is dropped.
     """
     check_same_lattice(frame.lattice, m.lattice)
     n = m.lattice.rank
@@ -288,10 +287,8 @@ def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
             for r in compress(range(n), col):
                 mp[r] += c * col[r]
         bt.append(tuple(sum(g * mp[j] for j, g in gp) for gp in gp_rows))
-    if frame._diagonal:
-        keep = [b for b, col in enumerate(bt) if col != d[b]]
-        bt = [[bt[c][a] for a in keep] for c in keep]
-    det = intmat.det(bt)
+    keep = [b for b, col in enumerate(bt) if col[b] <= 0 or col.count(0) < len(col) - 1]
+    det = intmat.det([[bt[c][a] for a in keep] for c in keep])
     if det == 0:
         raise DegenerateFrame("det(P^T G M P) = 0; input is not an isometry")
     return 1 if det > 0 else -1

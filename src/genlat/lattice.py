@@ -118,6 +118,10 @@ class Lattice:
         return tuple(offs)
 
     def block_range(self, i: int) -> range:
+        """The basis indices of block i; BadParameters unless i is an int
+        with 0 <= i < len(blocks)."""
+        if type(i) is not int or not 0 <= i < len(self.blocks):
+            raise BadParameters(f"bad block index {i!r}")
         start = self.block_offsets[i]
         return range(start, start + self.blocks[i].rank)
 
@@ -194,10 +198,6 @@ class Lattice:
         if not 0 <= index < self.rank:
             raise BadParameters(f"basis index {index} out of range")
         return HClass(self, self.unit_coords(index))
-
-    @property
-    def is_even(self) -> bool:
-        return all(b.is_even for b in self.blocks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -334,20 +334,6 @@ class HClass:
         return f"HClass({self.pretty()})"
 
 
-# -- free-function forms of the class invariants ------------------------------
-
-def square(x: HClass) -> int:
-    return x.square()
-
-
-def divisibility(x: HClass) -> int:
-    return x.divisibility()
-
-
-def is_characteristic(x: HClass) -> bool:
-    return x.is_characteristic()
-
-
 # -- spec strings and parsing ------------------------------------------------
 
 _SPEC_TOKEN = re.compile(r"^(\d*)(H'|H|E8-)$")
@@ -394,8 +380,8 @@ def format_lattice_spec(blocks) -> str:
     return ",".join(out)
 
 
-def lattice_from_spec(text: str, basis_names=None) -> Lattice:
-    return make_lattice(parse_lattice_spec(text), basis_names)
+def lattice_from_spec(text: str) -> Lattice:
+    return make_lattice(parse_lattice_spec(text))
 
 
 def parse_class(lattice: Lattice, text: str, aliases: dict[str, str] | None = None) -> HClass:

@@ -154,14 +154,12 @@ class _DSU:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a, b) -> bool:
-        """Merge the components of a and b; False if they were one."""
+    def union(self, a, b) -> None:
+        """Merge the components of a and b."""
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
+        if ra != rb:
+            self.parent[rb] = ra
+            self.count -= 1
 
 
 def _row_images(row, cols):
@@ -265,7 +263,9 @@ def _witnesses(lattice, seed_coords, dsu, steps):
     minimum; certificates come from composing generator matrices along
     a breadth-first tree rooted there, then inverting.  The tree walks
     the recorded steps of each seed, so no generator is applied again,
-    and stops once it spans the component.
+    and stops once it spans the component.  It follows forward steps
+    only, so it spans every component only when the generator set is
+    closed under inverses; otherwise PreconditionFailed.
     """
     comps: dict[intmat.Vector, list[intmat.Vector]] = {}
     for x in seed_coords:
@@ -283,6 +283,8 @@ def _witnesses(lattice, seed_coords, dsu, steps):
                     reach[y] = intmat.matmul(m, reach[x])
                     queue.append(y)
                     left.discard(y)
+        if left:
+            raise PreconditionFailed("witnesses need a generator set closed under inverses")
         for x in members:
             m = reach[x]  # maps root to x
             cert = verify_isometry(lattice, m).inverse()
@@ -335,7 +337,7 @@ def exhaustive_isometry_search(
     cols: dict[int, intmat.Vector] = {}
     gcols: list[tuple[int, intmat.Vector]] = []
 
-    def admissible(j: int, v, gv) -> bool:
+    def admissible(j: int, v) -> bool:
         return all(intmat.dot(gj, v) == gram[i][j] for i, gj in gcols)
 
     def dfs(t: int, partial: intmat.Vector):
@@ -355,14 +357,14 @@ def exhaustive_isometry_search(
             if max(map(abs, v), default=0) > entry_bound:
                 return None
             gv = lattice.gram_apply(v)
-            if intmat.dot(gv, v) != gram[j][j] or not admissible(j, v, gv):
+            if intmat.dot(gv, v) != gram[j][j] or not admissible(j, v):
                 return None
             choices = [(v, gv)]
         else:
             choices = by_square.get(gram[j][j], [])
         for v, gv in choices:
             if t != force_pos:
-                if not admissible(j, v, gv):
+                if not admissible(j, v):
                     continue
                 if xc[j]:
                     slack = tail[t] * entry_bound

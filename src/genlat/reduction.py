@@ -230,7 +230,9 @@ class _Reducer:
     def __init__(self, lattice: Lattice, coords, target_block: int, acting):
         self.lattice = lattice
         blocks = lattice.blocks
+        acting_idx = set()
         for i in acting:
+            acting_idx.update(lattice.block_range(i))  # range-checks i
             if not blocks[i].is_even:
                 raise PreconditionFailed("acting sublattice must consist of even blocks")
         hyper = [i for i in acting if blocks[i] is Block.HYPERBOLIC]
@@ -247,9 +249,6 @@ class _Reducer:
         self.f1 = self.e1 + 1
         self.e2 = lattice.block_offsets[helper]
         self.f2 = self.e2 + 1
-        acting_idx = set()
-        for i in acting:
-            acting_idx.update(lattice.block_range(i))
         self.rest = sorted(acting_idx - {self.e1, self.f1, self.e2, self.f2})
         if any(coords[i] for i in range(lattice.rank) if i not in acting_idx):
             raise PreconditionFailed("class is not supported in the acting sublattice")

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import io
 import json
 import os
@@ -463,6 +464,27 @@ def test_no_assert_statements_in_the_library():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node)
         ]
     assert found == []
+
+
+def test_names_the_benchmark_patches_exist():
+    # perfbench/spans.py wraps every TRACED name for --trace 1, and the
+    # workloads clear canonical_frame's cache in their set-up; the file is
+    # read, not imported, so the test needs nothing from the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    )
+    missing = [
+        f"{mod}.{name}"
+        for mod, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"genlat.{mod}"), name)
+    ]
+    assert missing == []
+    assert callable(g.canonical_frame.cache_clear)
 
 
 # -- fuzz ------------------------------------------------------------------------

@@ -279,6 +279,33 @@ def test_make_frame_validates(H2):
         )  # second leading minor is 2*4 - 3*3 < 0
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [(1, 1, 0, 0), (0, 0, 1)],  # too short: not an IndexError
+        [(1, 1, 0, 0, 0), (0, 0, 1, 1)],  # too long: not truncated
+        [(1.5, 1, 0, 0), (0, 0, 1, 1)],  # kept, the norm would not be exact
+        [(True, 1, 0, 0), (0, 0, 1, 1)],
+    ],
+)
+def test_make_frame_refuses_malformed_columns(H2, columns):
+    with pytest.raises(g.BadParameters):
+        g.make_frame(H2, columns)
+
+
+@pytest.mark.parametrize("spec", ["H", "H'", "2H,E8-", "E(3)", "E(2;2,3)", "E(16)"])
+def test_canonical_frame_passes_the_make_frame_checks(spec):
+    lat = g.parse_surface(spec).lattice if spec.startswith("E(") else g.lattice_from_spec(spec)
+    frame = g.canonical_frame(lat)
+    assert g.make_frame(lat, list(zip(*frame.matrix))) == frame
+
+
+@pytest.mark.parametrize("block", [99, -1, 1.0, True])
+def test_minus_identity_refuses_a_bad_block_index(e3, block):
+    with pytest.raises(g.BadParameters):
+        g.minus_identity_on_blocks(e3.lattice, [block])
+
+
 def test_degenerate_frame_on_corrupted_input(H2):
     frame = g.canonical_frame(H2)
     zero = g.Isometry(H2, tuple(tuple(0 for _ in range(4)) for _ in range(4)))

@@ -282,14 +282,26 @@ def _spinor_setup(spec):
 
 @settings(max_examples=40)
 @pytest.mark.parametrize("spec", ["E(3)", "E(2;2,3)"])
-@given(seed=st.integers(0, 2**32), steps=st.integers(0, 5), flip=st.booleans())
-def test_spinor_norm_matches_dense_determinant(spec, seed, steps, flip):
+@given(
+    seed=st.integers(0, 2**32),
+    steps=st.integers(0, 5),
+    flip=st.booleans(),
+    negate=st.lists(st.integers(0, 2**32), max_size=2),
+)
+def test_spinor_norm_matches_dense_determinant(spec, seed, steps, flip, negate):
     s, pool, frames = _spinor_setup(spec)
     lat = s.lattice
     iso = random_isometry(lat, random.Random(seed), pool, steps=steps)
+    pairs = [i for i, b in enumerate(lat.blocks) if b.rank == 2]
+    for k in negate:  # -id on random rank-2 blocks gives columns -c e_b of B
+        rng = random.Random(k)
+        blocks = rng.sample(pairs, rng.randint(1, len(pairs)))
+        iso = g.compose(g.minus_identity_on_blocks(lat, blocks), iso)
     if flip:  # the reflection in R + T, of square 2, has spinor norm -1
         iso = g.compose(g.reflection(lat, s.R + s.T), iso)
-    assert not frames[1]._diagonal
+    skew = frames[1].matrix
+    d_skew = dense_matmul(dense_matmul(tuple(zip(*skew)), lat.gram), skew)
+    assert any(x for i, row in enumerate(d_skew) for j, x in enumerate(row) if i != j)
     for frame in frames:
         p = frame.matrix
         b = dense_matmul(dense_matmul(tuple(zip(*p)), lat.gram), dense_matmul(iso.matrix, p))

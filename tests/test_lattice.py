@@ -285,6 +285,9 @@ _MISMATCHED = {
     "eichler_transvection_u": lambda: g.eichler_transvection(_E3.lattice, _theirs(_E3.R), _E3.k),
     "eichler_transvection_v": lambda: g.eichler_transvection(_E3.lattice, _E3.R, _theirs(_E3.k)),
     "spinor_norm": lambda: g.spinor_norm(g.canonical_frame(_OTHER), _ID),
+    "make_frame": lambda: g.make_frame(
+        _E3.lattice, [_OTHER.hclass(c) for c in zip(*g.canonical_frame(_OTHER).matrix)]
+    ),
     "realizability": lambda: g.realizability(_E3, _ID_OTHER),
     "adjunction_bound": lambda: g.adjunction_bound(_E3, _theirs(_E3.R)),
     "min_genus": lambda: g.min_genus(_E3, _theirs(_E3.R)),

@@ -108,6 +108,18 @@ def test_orbit_witnesses_verify(H2):
         assert intmat.matvec(cert.matrix, vec) == canonical
 
 
+def test_orbit_witnesses_need_generators_closed_under_inverses(H2):
+    # one transvection without its inverse: the witness tree, which walks
+    # forward steps only, cannot reach every member of a component
+    args = (H2, g.enumerate_vectors(H2, 0, 1, 1), [g.default_generators(H2)[0]], 1)
+    with pytest.raises(g.PreconditionFailed, match="closed under inverses"):
+        g.orbit_bfs(*args, include_witnesses=True)
+    report = g.orbit_bfs(*args)
+    assert (report.vectors_found, report.orbit_count_full, report.orbit_count_spinor1) == (
+        32, 16, 16
+    )
+
+
 def test_orbit_budget(H2):
     seeds = g.enumerate_vectors(H2, 0, 1, 2)
     with pytest.raises(g.BudgetExceeded):

@@ -199,6 +199,12 @@ def test_reduce_even_errors(H, H2, e3):
         g.reduce_even(e3.lattice, e3.k, 1, acting_blocks=range(1, 8))
 
 
+@pytest.mark.parametrize("block", [99, -1, 1.0, True])
+def test_reduce_even_refuses_a_bad_acting_block_index(e3, block):
+    with pytest.raises(g.BadParameters):
+        g.reduce_even(e3.lattice, e3.R + e3.T, 1, [1, 2, block])
+
+
 def test_reduce_even_exhaustive_small_orbit(H2):
     # every in-bound vector of square 0 or 2 lands on the same canonical
     for sq in (0, 2):
