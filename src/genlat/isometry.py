@@ -4,6 +4,8 @@ Matrices act on coordinate columns; ``compose(A, B)`` applies B first.
 The spinor norm of M is the sign of det(P^T G M P) for a fixed integer
 frame P spanning a maximal positive-definite subspace, so the
 orientation bookkeeping is done entirely in exact integer arithmetic.
+Reflections and Eichler transvections are known here only, as terms
+I + sum a b^T that the reduction engine applies directly.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ class Isometry:
     def __call__(self, x: HClass) -> HClass:
         check_same_lattice(self.lattice, x.lattice)
         return HClass(self.lattice, self.apply(x.coords))
-
-    def determinant(self) -> int:
-        return intmat.det(self.matrix)
 
     def inverse(self) -> "Isometry":
         # M^-1 = G^-1 M^T G; integral because G is unimodular
@@ -142,20 +141,21 @@ def fixes_class(m: Isometry, x: HClass) -> bool:
 def reflection(lattice: Lattice, v: HClass) -> Isometry:
     """The reflection x -> x - 2(x.v)/v^2 * v, when it is integral."""
     check_same_lattice(lattice, v.lattice)
-    v2 = v.square()
+    m = intmat.identity_plus(lattice.rank, _reflection_terms(lattice, v.coords))
+    return _checked_isometry(lattice, m)
+
+
+def _reflection_terms(lattice: Lattice, v) -> list:
+    """The reflection in the coordinate vector v as [(v, c)], for
+    I + v c^T with c = -2 G v / v^2; NonIntegralReflection unless c is integral."""
+    v2 = lattice.pair(v, v)
     if v2 == 0:
         raise NonIntegralReflection("cannot reflect in a vector of square zero")
-    gv = lattice.gram_apply(v.coords)
-    coeffs = []
-    for i, pairing in enumerate(gv):
-        num = 2 * pairing
-        if num % v2 != 0:
-            raise NonIntegralReflection(
-                f"2(x.v)/v^2 is not integral on basis vector {i}"
-            )
-        coeffs.append(-(num // v2))
-    m = intmat.identity_plus(lattice.rank, [(v.coords, coeffs)])
-    return _checked_isometry(lattice, m)
+    gv = lattice.gram_apply(v)
+    bad = next((i for i, p in enumerate(gv) if 2 * p % v2), None)
+    if bad is not None:
+        raise NonIntegralReflection(f"2(x.v)/v^2 is not integral on basis vector {bad}")
+    return [(v, [-(2 * p // v2) for p in gv])]
 
 
 def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
@@ -166,19 +166,24 @@ def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
     """
     for y in (u, v):
         check_same_lattice(lattice, y.lattice)
-    if u.square() != 0:
+    m = intmat.identity_plus(lattice.rank, _transvection_terms(lattice, u.coords, v.coords))
+    return _checked_isometry(lattice, m)
+
+
+def _transvection_terms(lattice: Lattice, u, v) -> list:
+    """E_{u,v} = I + u (Gv)^T - (v + (v^2/2) u) (Gu)^T as its two terms (a, b),
+    for coordinate vectors; BadTransvectionData unless u.u = u.v = 0, v.v even."""
+    pair = lattice.pair
+    if pair(u, u) != 0:
         raise BadTransvectionData("u must be isotropic")
-    if u.dot(v) != 0:
+    if pair(u, v) != 0:
         raise BadTransvectionData("u and v must be orthogonal")
-    v2 = v.square()
+    v2 = pair(v, v)
     if v2 % 2 != 0:
         raise BadTransvectionData("v must have even square")
-    gu = lattice.gram_apply(u.coords)
-    gv = lattice.gram_apply(v.coords)
     h = v2 // 2
-    minus_z = tuple(-(a + h * b) for a, b in zip(v.coords, u.coords))
-    m = intmat.identity_plus(lattice.rank, [(u.coords, gv), (minus_z, gu)])
-    return _checked_isometry(lattice, m)
+    minus_z = tuple(-(a + h * b) for a, b in zip(v, u))
+    return [(u, lattice.gram_apply(v)), (minus_z, lattice.gram_apply(u))]
 
 
 def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:

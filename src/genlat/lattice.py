@@ -185,10 +185,7 @@ class Lattice:
             raise ParseError(f"unknown basis name {name!r}") from None
 
     def hclass(self, coords) -> "HClass":
-        return HClass(self, tuple(coords))
-
-    def zero(self) -> "HClass":
-        return HClass(self, (0,) * self.rank)
+        return HClass(self, coords)
 
     def unit_coords(self, index: int) -> intmat.Vector:
         return tuple(int(j == index) for j in range(self.rank))
@@ -273,7 +270,12 @@ class HClass:
     coords: intmat.Vector
 
     def __post_init__(self):
-        coords = tuple(self.coords)
+        try:
+            coords = tuple(self.coords)
+        except TypeError:
+            raise BadParameters(
+                f"class coordinates must be a sequence, got {self.coords!r}"
+            ) from None
         if len(coords) != self.lattice.rank:
             raise BadParameters(
                 f"expected {self.lattice.rank} coordinates, got {len(coords)}"
@@ -294,9 +296,6 @@ class HClass:
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def is_primitive(self) -> bool:
-        return self.divisibility() == 1
 
     def is_characteristic(self) -> bool:
         gx = self.lattice.gram_apply(self.coords)

@@ -2,7 +2,8 @@
 
 Every certificate built here is a product of Eichler transvections,
 with at most one reflection in a vector of negative square appended, so
-it has spinor norm +1 by construction and is verified before release.
+it has spinor norm +1 by construction.  It is built in one engine pass
+and checked exactly once, with its image, before release.
 
 The core engine works on an even acting sublattice containing a target
 hyperbolic pair (e1, f1) and a helper pair (e2, f2); the remaining
@@ -22,7 +23,10 @@ reduction is staged, and builds its certificate as it goes:
 
 Stages 2 and 4 are each applied as one pair-block step: their additions
 multiply out to N -> L N R, applied once to the class and to the pair
-rows of the certificate.
+rows of the certificate.  Every other step left-multiplies the class and
+the certificate by a low-rank term I + sum a b^T from isometry.py: a
+transvection, and on elliptic surfaces the reflection in R - T that
+swaps R and T and, on the sphere path, phi = E_{k, -a R}, the last step.
 
 The class ends at e1 + s f1 with 2s its square; scaling by the
 divisibility d gives the canonical form d(e1 + s' f1) in general.
@@ -47,11 +51,11 @@ from .errors import (
 from .isometry import (
     Isometry,
     _checked_isometry,
+    _reflection_terms,
+    _transvection_terms,
     canonical_frame,
-    compose,
+    eichler_transvection,
     fixes_class,
-    identity_isometry,
-    reflection,
     spinor_norm,
     verify_isometry,
 )
@@ -255,26 +259,19 @@ class _Reducer:
         self.y = list(coords)
         self.m = intmat.identity_rows(lattice.rank)
 
+    def step(self, terms) -> None:
+        """Left-multiply the running class and the certificate by
+        I + sum of a b^T over the (a, b) pairs in terms."""
+        m, y = self.m, self.y
+        rows = [(a, intmat.vecmat(b, m), intmat.dot(b, y)) for a, b in terms]
+        for a, row, t in rows:
+            intmat.add_outer(m, a, row)
+            for r in compress(range(len(a)), a):
+                y[r] += t * a[r]
+
     def move(self, u, v) -> None:
         """Apply E_{u,v} to the running class and to the certificate."""
-        lattice = self.lattice
-        pair = lattice.pair
-        v2 = pair(v, v)
-        if pair(u, u) != 0 or pair(u, v) != 0 or v2 % 2 != 0:
-            raise InvariantViolation("E_{u,v} needs u.u = 0, u.v = 0 and v.v even")
-        # E_{u,v} = I + u (Gv)^T - (v + (v^2/2) u) (Gu)^T
-        gu = lattice.gram_apply(u)
-        gv = lattice.gram_apply(v)
-        minus_z = [-(a + v2 // 2 * b) for a, b in zip(v, u)]
-        m = self.m
-        p = intmat.vecmat(gv, m)
-        q = intmat.vecmat(gu, m)
-        intmat.add_outer(m, u, p)
-        intmat.add_outer(m, minus_z, q)
-        y = self.y
-        yv, yu = pair(v, y), pair(u, y)
-        for r in range(lattice.rank):
-            y[r] += yv * u[r] + yu * minus_z[r]
+        self.step(_transvection_terms(self.lattice, u, v))
 
     def block(self, ops) -> None:
         """Apply the transvections of the 2x2 ops as one step N -> L N R,
@@ -390,21 +387,30 @@ def reduce_even(
         raise ZeroClass("cannot reduce the zero class")
     if acting_blocks is None:
         acting_blocks = [i for i, b in enumerate(lattice.blocks) if b.is_even]
-    d = x.divisibility()
-    prim = tuple(c // d for c in x.coords)
-    red = _Reducer(lattice, prim, target_block, tuple(acting_blocks))
-    red.run()
-    cert = _checked_isometry(lattice, red.certificate_matrix())
-    canonical = lattice.hclass(tuple(d * c for c in red.y))
-    _check_image(cert, x, canonical)
-    return ReductionResult(x, canonical, cert)
+    red, d = _run(lattice, x.coords, target_block, acting_blocks)
+    return _result(red, x, lattice.hclass(tuple(d * c for c in red.y)))
 
 
-def _check_image(cert: Isometry, x: HClass, canonical: HClass) -> None:
+def _run(lattice: Lattice, coords, target_block: int, acting) -> tuple[_Reducer, int]:
+    """The engine on coords divided by their divisibility d, and d.  Zero
+    coords take no step, so their certificate is the identity."""
+    d = math.gcd(*coords)
+    red = _Reducer(lattice, [c // (d or 1) for c in coords], target_block, tuple(acting))
+    if d:
+        red.run()
+    return red, d
+
+
+def _result(red: _Reducer, x: HClass, canonical: HClass) -> ReductionResult:
+    """The engine's certificate, checked exactly, as a reduction of x to
+    canonical; InvariantViolation unless it maps x there and canonical
+    keeps the square and the divisibility of x."""
+    cert = _checked_isometry(red.lattice, red.certificate_matrix())
     if cert.apply(x.coords) != canonical.coords:
         raise InvariantViolation("the certificate does not map the class to its canonical form")
     if canonical.square() != x.square() or canonical.divisibility() != x.divisibility():
         raise InvariantViolation("the canonical form changed the square or the divisibility")
+    return ReductionResult(x, canonical, cert)
 
 
 # -- elliptic-surface entry points --------------------------------------------
@@ -412,16 +418,11 @@ def _check_image(cert: Isometry, x: HClass, canonical: HClass) -> None:
 _RT_BLOCK = 1  # the (R, T) hyperbolic block of every model lattice
 
 
-def _split_at_k(surface, a_class: HClass) -> tuple[int, HClass, Isometry]:
-    """Split a class orthogonal to k as a k + B, B in the blocks after
-    (k, W): a, B and a certificate supported there that takes B to
-    d(R + s T), the identity when B = 0."""
+def _run_after_k(surface, a_class: HClass) -> tuple[_Reducer, int]:
+    """The engine on B, for a k + B orthogonal to k: it fixes k and W and
+    takes B to d(R + s T), d the divisibility of B."""
     lattice = surface.lattice
-    b = lattice.hclass((0,) + a_class.coords[1:])
-    if b.is_zero:
-        return a_class.coords[0], b, identity_isometry(lattice)
-    acting = tuple(range(1, len(lattice.blocks)))
-    return a_class.coords[0], b, reduce_even(lattice, b, _RT_BLOCK, acting).certificate
+    return _run(lattice, (0,) + a_class.coords[1:], _RT_BLOCK, range(1, len(lattice.blocks)))
 
 
 def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
@@ -441,20 +442,13 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
         return reduce_even(lattice, a_class, _RT_BLOCK)
     if a_class.dot(surface.k) != 0:
         raise NotOrthogonalToK("class must be orthogonal to the canonical class")
-    a, b, cert = _split_at_k(surface, a_class)
-    if b.is_zero:
-        return ReductionResult(a_class, a_class, cert)
-    d = b.divisibility()
-    s = b.square() // (2 * d * d)
-    if s > 0:
+    red, d = _run_after_k(surface, a_class)
+    if red.y[red.f1] > 0:
         # swap R and T so that gamma carries the composite factor
-        cert = compose(reflection(lattice, surface.R - surface.T), cert)
-        gamma, delta = d * s, d
-    else:
-        gamma, delta = d, d * s  # delta <= 0, zero iff B^2 = 0
-    canonical = a * surface.k + gamma * surface.R + delta * surface.T
-    _check_image(cert, a_class, canonical)
-    res = ReductionResult(a_class, canonical, cert)
+        red.step(_reflection_terms(lattice, (surface.R - surface.T).coords))
+    # (gamma, delta) is d(s, 1) after the swap, else d(1, s), s <= 0
+    canonical = a_class.coords[0] * surface.k + d * lattice.hclass(red.y)
+    res = _result(red, a_class, canonical)
     if res.spinor != 1 or not (res.fixes_k and res.fixes_W):
         raise InvariantViolation("the certificate must have spinor norm +1 and fix k and W")
     return res
@@ -463,20 +457,19 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
 def phi_isometry(surface, alpha: int) -> Isometry:
     """k -> k, W -> W + alpha R, R -> R, T -> T - alpha k, id elsewhere.
 
-    A one-parameter family in the k-fixing spinor-norm-1 subgroup; it
-    moves alpha k + S to S.
+    This is the Eichler transvection E_{k, -alpha R}, so it lies in the
+    k-fixing spinor-norm-1 subgroup; it moves alpha k + S to S.
     """
-    lattice = surface.lattice
     check_ints((alpha,), PreconditionFailed, "alpha")
-    n = lattice.rank
-    m = intmat.identity_rows(n)
-    m[2][1] = alpha   # W column gains alpha R
-    m[0][3] = -alpha  # T column gains -alpha k
-    return _checked_isometry(lattice, tuple(map(tuple, m)))
+    return eichler_transvection(surface.lattice, surface.k, -alpha * surface.R)
 
 
 def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
-    """Map a class orthogonal to K with square -2 to the sphere class S."""
+    """Map a class orthogonal to K with square -2 to the sphere class S.
+
+    The engine takes B to R - T, the reflection in R - T takes that to
+    S = T - R, and phi with alpha = a, the last step, takes a k + S to S.
+    """
     lattice = surface.lattice
     check_same_lattice(lattice, a_class.lattice)
     if a_class.is_zero:
@@ -486,13 +479,14 @@ def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
             "sphere reduction needs k.A = 0 and A^2 = -2"
         )
     if a_class == surface.S:
-        return ReductionResult(a_class, a_class, identity_isometry(lattice))
-    a, _, inner = _split_at_k(surface, a_class)
-    # inner canonical is R - T; reflect in R - T to land on S = T - R
-    flip = reflection(lattice, surface.R - surface.T)
-    cert = compose(phi_isometry(surface, a), compose(flip, inner))
-    _check_image(cert, a_class, surface.S)
-    res = ReductionResult(a_class, surface.S, cert)
+        # S is its own form: the engine is set up but takes no step
+        red = _Reducer(lattice, a_class.coords, _RT_BLOCK, range(1, len(lattice.blocks)))
+    else:
+        red, _ = _run_after_k(surface, a_class)
+        minus_a_r = -a_class.coords[0] * surface.R
+        red.step(_reflection_terms(lattice, (surface.R - surface.T).coords))
+        red.step(_transvection_terms(lattice, surface.k.coords, minus_a_r.coords))
+    res = _result(red, a_class, surface.S)
     if res.spinor != 1 or not res.fixes_k:
         raise InvariantViolation("the certificate must have spinor norm +1 and fix k")
     return res

@@ -72,7 +72,7 @@ def test_surface_rank_cap():
 
 def test_distinguished_classes(e3, e23, k3):
     for x in (e3, e23, k3):
-        assert x.k.square() == 0 and x.k.is_primitive()
+        assert x.k.square() == 0 and x.k.divisibility() == 1
         assert x.k.dot(x.W) == 1
         assert x.W.square() == (0 if x.spin else 1)
         assert x.R.square() == 0 and x.T.square() == 0 and x.R.dot(x.T) == 1
@@ -112,7 +112,7 @@ def test_canonical_class_characteristic_on_grid():
 
 
 def test_basic_classes_examples(k3, e3, e23):
-    assert g.basic_classes(k3) == [k3.lattice.zero()]
+    assert g.basic_classes(k3) == [k3.lattice.hclass((0,) * k3.lattice.rank)]
     assert g.basic_classes(e3) == [-e3.k, e3.k]
     assert g.basic_classes(e23) == [r * e23.k for r in (-7, -5, -3, -1, 1, 3, 5, 7)]
 
@@ -170,7 +170,7 @@ def test_adjunction_examples(k3, e3, e23):
 
 def test_adjunction_zero_class(e3):
     with pytest.raises(g.ZeroClass):
-        g.adjunction_bound(e3, e3.lattice.zero())
+        g.adjunction_bound(e3, e3.lattice.hclass((0,) * e3.lattice.rank))
 
 
 # -- min_genus ----------------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_min_genus_negative_square_note(k3, e23):
 
 def test_min_genus_zero_class(e3):
     with pytest.raises(g.ZeroClass):
-        g.min_genus(e3, e3.lattice.zero())
+        g.min_genus(e3, e3.lattice.hclass((0,) * e3.lattice.rank))
 
 
 def test_min_genus_exact_meets_adjunction(k3, e3):

@@ -192,15 +192,15 @@ def test_square_examples(H):
     assert (e + f).square() == 2
     for a in range(-5, 6):
         assert (e + a * f).square() == 2 * a
-    assert H.zero().square() == 0
+    assert H.hclass((0,) * H.rank).square() == 0
 
 
 def test_divisibility_examples(H):
     e, f = H.basis_class("e1"), H.basis_class("f1")
     assert (2 * e + 4 * f).divisibility() == 2
     assert (e + 3 * f).divisibility() == 1
-    assert H.zero().divisibility() == 0
-    assert not H.zero().is_primitive()
+    assert H.hclass((0,) * H.rank).divisibility() == 0
+    assert H.hclass((0,) * H.rank).divisibility() != 1
 
 
 @pytest.mark.parametrize("spec", ["H", "H'", "2H,E8-"])
@@ -216,7 +216,7 @@ def test_divisibility_equals_content_of_pairings(spec):
 
 
 def test_characteristic_examples(H, HODD):
-    assert H.zero().is_characteristic()
+    assert H.hclass((0,) * H.rank).is_characteristic()
     k = HODD.basis_class("e1")  # first basis vector of the odd plane
     assert k.is_characteristic()
     assert not H.basis_class("e1").is_characteristic()
@@ -259,7 +259,7 @@ def test_even_lattice_squares(a):
 
 def test_lattice_mismatch(H, H2):
     with pytest.raises(g.LatticeMismatch):
-        H.zero().dot(H2.zero())
+        H.hclass((0,) * H.rank).dot(H2.hclass((0,) * H2.rank))
 
 
 # E(3)'s lattice and a lattice with the same blocks and spec but default
@@ -350,6 +350,18 @@ def test_hclass_refuses_non_integer_coordinates(H, coords):
     # int() would turn (1.7, 2.2) into (1, 2)
     with pytest.raises(g.BadParameters):
         H.hclass(coords)
+
+
+def test_non_sequence_coordinates_are_bad_parameters():
+    # not a bare TypeError from tuple()
+    H2 = g.lattice_from_spec("2H")
+    for build in (
+        lambda: H2.hclass(5),
+        lambda: g.make_frame(H2, [5, 6]),
+        lambda: g.HClass(H2, None),
+    ):
+        with pytest.raises(g.BadParameters, match="must be a sequence"):
+            build()
 
 
 def test_parse_class_errors(H2):

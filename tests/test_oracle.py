@@ -347,6 +347,34 @@ def test_orbit_matches_reference_on_seed_subsets(case, witnesses):
     assert got.to_json_dict() == want.to_json_dict()
 
 
+# -- restricted transitivity, checked by the oracle ----------------------------------
+
+@pytest.mark.parametrize("spec", ["3H", "H',2H"])
+@pytest.mark.parametrize("square, orbits", [(-2, 5), (0, 9), (2, 5), (4, 5)])
+def test_k_and_w_fixing_orbits_are_told_apart_by_a_w_and_the_reduced_b(spec, square, orbits):
+    # Block 0 stands for (k, W).  A k-orthogonal primitive class is
+    # A = a k + B with B in the blocks after it, and the paper's restricted
+    # transitivity says the k- and W-fixing spinor-+1 isometries move A
+    # exactly as far as a = A.W and the canonical form of B allow.  The
+    # oracle closes the seeds under the generators that fix k and W, with
+    # no reduction code involved.  Bound 1 is too small a box: at square 4
+    # its 12 seeds fall into 12 spinor-+1 components against 3 orbits.  A
+    # lattice with an E8- block is out of reach: H,2H,E8- has 3^14
+    # vectors even at bound 1.
+    lattice = g.lattice_from_spec(spec)
+    k, w = lattice.basis_class(0), lattice.basis_class(1)
+    gens = [m for m in g.default_generators(lattice) if g.fixes_class(m, k) and g.fixes_class(m, w)]
+    assert len(gens) == 44
+    seeds = [x for x in g.enumerate_vectors(lattice, square, 1, 2) if x.dot(k) == 0]
+    invariants = set()
+    for x in seeds:
+        b = x - x.coords[0] * k
+        canonical = b if b.is_zero else g.reduce_even(lattice, b, 1, (1, 2)).canonical
+        invariants.add((x.dot(w), canonical.coords))
+    report = g.orbit_bfs(lattice, seeds, gens, 2)
+    assert report.orbit_count_full == report.orbit_count_spinor1 == len(invariants) == orbits
+
+
 # -- exhaustive search --------------------------------------------------------------
 
 def test_search_swap(H):

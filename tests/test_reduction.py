@@ -189,7 +189,7 @@ def test_reduce_even_supports_second_target(H2):
 
 def test_reduce_even_errors(H, H2, e3):
     with pytest.raises(g.ZeroClass):
-        g.reduce_even(H2, H2.zero(), 0)
+        g.reduce_even(H2, H2.hclass((0,) * H2.rank), 0)
     with pytest.raises(g.NeedTwoHyperbolicPlanes):
         g.reduce_even(H, H.basis_class("e1"), 0)
     with pytest.raises(g.PreconditionFailed):
@@ -380,7 +380,7 @@ def test_reduce_in_elliptic_k3_full_lattice(k3):
 
 def test_reduce_in_elliptic_errors(e3):
     with pytest.raises(g.ZeroClass):
-        g.reduce_in_elliptic(e3, e3.lattice.zero())
+        g.reduce_in_elliptic(e3, e3.lattice.hclass((0,) * e3.lattice.rank))
     with pytest.raises(g.NotOrthogonalToK):
         g.reduce_in_elliptic(e3, e3.W)
 
@@ -450,7 +450,99 @@ def test_sphere_reduction_preconditions(e3):
     with pytest.raises(g.PreconditionFailed):
         g.sphere_reduction(e3, e3.W)  # not orthogonal to k
     with pytest.raises(g.ZeroClass):
-        g.sphere_reduction(e3, e3.lattice.zero())
+        g.sphere_reduction(e3, e3.lattice.hclass((0,) * e3.lattice.rank))
+
+
+# -- the elliptic certificates against their composed pieces -----------------------------
+
+def _composed_reference(surface, x, sphere):
+    """The certificate and canonical form of x composed from separately
+    checked pieces: the reduction of B in the blocks after (k, W), then
+    the reflection in R - T when B^2 > 0 or on the sphere path, then phi
+    on the sphere path."""
+    lattice = surface.lattice
+    a = x.coords[0]
+    b = x - a * surface.k
+    if b.is_zero or (sphere and x == surface.S):
+        return g.identity_isometry(lattice), x
+    inner = g.reduce_even(lattice, b, 1, range(1, len(lattice.blocks))).certificate
+    flip = g.reflection(lattice, surface.R - surface.T)
+    if sphere:
+        return g.compose(g.phi_isometry(surface, a), g.compose(flip, inner)), surface.S
+    d = b.divisibility()
+    s = b.square() // (2 * d * d)
+    if s > 0:
+        return g.compose(flip, inner), a * surface.k + d * s * surface.R + d * surface.T
+    return inner, a * surface.k + d * surface.R + d * s * surface.T
+
+
+def _seeded_k_orthogonal(surface, rng):
+    """Classes a k + B by kind: B^2 > 0, B^2 <= 0 (B != 0), B = 0 and
+    square -2; B has 2- to 40-bit entries in the hyperbolic blocks and
+    a few unit ones in the E8 blocks."""
+    lattice = surface.lattice
+    n = lattice.rank
+    e8 = 2 + 2 * surface.l  # the first E8 coordinate
+    kinds = {"positive": [], "non-positive": [], "zero B": [], "sphere": []}
+    while len(kinds["positive"]) < 6 or len(kinds["non-positive"]) < 6:
+        bits = rng.choice([2, 8, 40])
+        c = [rng.randint(-2**bits, 2**bits) if rng.random() < 0.3 else 0 for _ in range(e8)]
+        c[1] = 0
+        c += [rng.choice([-1, 1]) if rng.random() < 0.05 else 0 for _ in range(e8, n)]
+        x = lattice.hclass(c)
+        if any(c[2:]):
+            kind = kinds["positive" if x.square() > 0 else "non-positive"]
+            if len(kind) < 6:
+                kind.append(x)
+    kinds["non-positive"].append(5 * surface.k + 3 * surface.R)  # B^2 = 0
+    kinds["zero B"] += [surface.k, -7 * surface.k]
+    for _ in range(6):
+        # B = R + y T + c e2 + m f2 + u, u in the first E8 block, y set so B^2 = -2
+        v = [0] * n
+        v[0], v[2], v[4], v[5] = rng.randint(-20, 20), 1, rng.randint(-30, 30), rng.randint(-30, 30)
+        for j in range(8):
+            v[e8 + j] = rng.randint(-3, 3)
+        v[3] = (-2 - lattice.pair(v, v)) // 2
+        kinds["sphere"].append(lattice.hclass(v))
+    kinds["sphere"] += [surface.S, 4 * surface.k + surface.S]
+    return kinds
+
+
+@pytest.mark.parametrize("spec", ["E(3)", "E(6)", "E(2;2,3)"])
+def test_elliptic_certificates_match_the_composed_reference(spec):
+    surface = g.parse_surface(spec)
+    kinds = _seeded_k_orthogonal(surface, random.Random(spec))
+    for kind, classes in kinds.items():
+        for x in classes:
+            sphere = kind == "sphere"
+            assert x.dot(surface.k) == 0 and (not sphere or x.square() == -2)
+            res = (g.sphere_reduction if sphere else g.reduce_in_elliptic)(surface, x)
+            cert, canonical = _composed_reference(surface, x, sphere)
+            assert res.certificate.matrix == cert.matrix, (kind, x)
+            assert res.canonical == canonical, (kind, x)
+
+
+def test_each_reduction_is_checked_exactly_once(e3, H2E8, monkeypatch):
+    calls = []
+    checked = reduction._checked_isometry
+
+    def spy(lattice, m):
+        calls.append(m)
+        return checked(lattice, m)
+
+    monkeypatch.setattr(reduction, "_checked_isometry", spy)
+    cases = [
+        lambda: g.reduce_even(H2E8, H2E8.hclass([3, 5, 2, -1] + [0] * 8), 0),
+        lambda: g.reduce_in_elliptic(e3, e3.parse_class("k=3,e2=1,f2=2")),  # B^2 > 0
+        lambda: g.reduce_in_elliptic(e3, e3.parse_class("k=2,x1_1=1")),  # B^2 < 0
+        lambda: g.reduce_in_elliptic(e3, 4 * e3.k),  # B = 0
+        lambda: g.sphere_reduction(e3, 5 * e3.k + e3.S),
+        lambda: g.sphere_reduction(e3, e3.S),
+    ]
+    for case in cases:
+        calls.clear()
+        res = case()
+        assert len(calls) == 1 and calls[0] is res.certificate.matrix
 
 
 # -- JSON round trip ----------------------------------------------------------------------
