@@ -100,7 +100,10 @@ def _bool(b: bool) -> str:
 
 
 def _load_surface(args) -> EllipticSurface:
-    spec = getattr(args, "surface_pos", None) or args.surface
+    positional = getattr(args, "surface_pos", None)
+    if positional and args.surface:
+        raise ParseError("give the surface either as SURFACE or as --surface, not both")
+    spec = positional or args.surface
     if not spec:
         raise ParseError("a surface spec such as E(2;2,3) is required")
     return parse_surface(spec)

@@ -23,7 +23,8 @@ from .errors import (
     ZeroClass,
 )
 from .lattice import (
-    Block, HClass, Lattice, check_rank, check_same_lattice, decimal_int, make_lattice, parse_class,
+    Block, HClass, Lattice, check_ints, check_rank, check_same_lattice, decimal_int, make_lattice,
+    parse_class,
 )
 from .reduction import ReductionResult, reduce_in_elliptic, sphere_reduction
 
@@ -262,6 +263,7 @@ def _exact(c: int, bound: int, rule: Rule, cert: ReductionResult | None) -> Genu
 def km_scaled_genus(g: int, sq: int, r: int) -> int:
     """Genus of the surface representing r h built from a genus-g
     representative of h, scaling a = 2g - 2 - h^2 linearly in r."""
+    check_ints((g, sq, r), PreconditionFailed, "g, sq and r")
     if r < 1:
         raise PreconditionFailed("r must be a positive integer")
     if sq < 0:
@@ -280,6 +282,7 @@ def nucleus_min_genus(gamma: int, delta: int) -> GenusVerdict:
     """Minimal genus of gamma F + delta S in the rank-2 nucleus lattice
     (F^2 = 0, S^2 = -2, F.S = 1): exact genus c when the square is
     2c - 2 >= -2, a bare bound otherwise."""
+    check_ints((gamma, delta), PreconditionFailed, "gamma and delta")
     if gamma == 0 and delta == 0:
         raise ZeroClass("the zero class has no genus verdict")
     sq = 2 * gamma * delta - 2 * delta * delta

@@ -26,6 +26,7 @@ from .lattice import (
     Block,
     HClass,
     Lattice,
+    as_tuple,
     check_ints,
     check_json_lattice,
     check_same_lattice,
@@ -189,7 +190,7 @@ def _transvection_terms(lattice: Lattice, u, v) -> list:
 def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:
     """-id on the chosen blocks, identity elsewhere."""
     flip = set()
-    for b in block_indices:
+    for b in as_tuple(block_indices, "block indices"):
         flip.update(lattice.block_range(b))
     n = lattice.rank
     m = tuple(
@@ -234,7 +235,7 @@ def make_frame(lattice: Lattice, columns) -> SpinorFrame:
     sequences over the lattice, once they are checked to span a
     positive-definite subspace of dimension sig_pos."""
     cols = []
-    for c in columns:
+    for c in as_tuple(columns, "frame columns"):
         if not isinstance(c, HClass):
             c = lattice.hclass(c)
         check_same_lattice(lattice, c.lattice)

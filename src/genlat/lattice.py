@@ -437,6 +437,14 @@ def json_field(doc, key: str):
     return doc[key]
 
 
+def as_tuple(values, what: str) -> tuple:
+    """tuple(values), or BadParameters when values is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise BadParameters(f"{what} must be a sequence, got {values!r}") from None
+
+
 def check_ints(values, error: type[LatticeError], what: str) -> None:
     """Raise error unless every entry of the sequence is exactly an int.
 

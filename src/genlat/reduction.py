@@ -8,25 +8,29 @@ and checked exactly once, with its image, before release.
 The core engine works on an even acting sublattice containing a target
 hyperbolic pair (e1, f1) and a helper pair (e2, f2); the remaining
 acting blocks form L0.  Writing x = a e1 + b f1 + c e2 + g f2 + w with
-w in L0, four shapes of transvection act as elementary row and column
-additions on the 2x2 integer matrix N = [[a, c], [-g, b]] and leave w
-alone, two more shapes trade material between (a, b) and w.  The
-reduction is staged, and builds its certificate as it goes:
+w in L0, x^2 = 2 det N + w^2 for the 2x2 integer matrix
+N = [[a, c], [-g, b]].  The four transvections of the pair block act on
+N as elementary row and column additions, which generate exactly
+N -> L N R with L, R in SL2(Z), and leave w alone; two more shapes
+trade material between (a, b) and w.  The reduction is staged, and
+builds its certificate as it goes:
 
 1. if all four pair coordinates vanish, one transvection pulls a
    non-zero pairing of w into a;
-2. exact Euclid on elementary additions diagonalizes N;
+2. Euclid in SL2(Z) diagonalizes N, one Bezout step per clear;
 3. one transvection with v built from gcds alone (no factoring) makes
    gcd(a, b) = 1 without disturbing anything else;
-4. with the gcd equal to 1, elementary additions reach N = diag(1, ab);
+4. with the gcd equal to 1, one closed-form pair (L, R) reaches
+   N = diag(1, ab);
 5. a single transvection E_{f1, w} absorbs the leftover w.
 
-Stages 2 and 4 are each applied as one pair-block step: their additions
-multiply out to N -> L N R, applied once to the class and to the pair
-rows of the certificate.  Every other step left-multiplies the class and
-the certificate by a low-rank term I + sum a b^T from isometry.py: a
-transvection, and on elliptic surfaces the reflection in R - T that
-swaps R and T and, on the sphere path, phi = E_{k, -a R}, the last step.
+Stages 2 and 4 are each applied as one pair-block step: their SL2(Z)
+steps multiply out to N -> L N R, applied once to the class and to the
+pair rows of the certificate.  Every other step left-multiplies the
+class and the certificate by a low-rank term I + sum a b^T from
+isometry.py: a transvection, and on elliptic surfaces the reflection in
+R - T that swaps R and T and, on the sphere path, phi = E_{k, -a R},
+the last step.
 
 The class ends at e1 + s f1 with 2s its square; scaling by the
 divisibility d gives the canonical form d(e1 + s' f1) in general.
@@ -63,6 +67,7 @@ from .lattice import (
     Block,
     HClass,
     Lattice,
+    as_tuple,
     check_ints,
     check_json_lattice,
     check_same_lattice,
@@ -130,100 +135,69 @@ def reduction_result_from_json_dict(doc: dict, lattice: Lattice) -> ReductionRes
     return res
 
 
-# -- 2x2 elementary-addition calculus -----------------------------------------
-#
-# ops: ("R1", t) row1 += t*row2   ("R2", t) row2 += t*row1
-#      ("C1", t) col1 += t*col2   ("C2", t) col2 += t*col1
+# -- 2x2 steps in SL2(Z) --------------------------------------------------------
 
-_MAX_DIAG_ROUNDS = 10_000
-
-# left-multiplication by -I as six elementary additions (two rotations)
-_NEG_IDENTITY_OPS = (
-    ("R1", 1), ("R2", -1), ("R1", 1),
-    ("R1", 1), ("R2", -1), ("R1", 1),
-)
+def _mul2(x, y):
+    """The 2x2 integer product x y."""
+    (a, b), (c, d) = x
+    (p, q), (r, s) = y
+    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
 
 
-def _apply_op(n: list[list[int]], op: str, t: int) -> None:
-    if op == "R1":
-        n[0][0] += t * n[1][0]
-        n[0][1] += t * n[1][1]
-    elif op == "R2":
-        n[1][0] += t * n[0][0]
-        n[1][1] += t * n[0][1]
-    elif op == "C1":
-        n[0][0] += t * n[0][1]
-        n[1][0] += t * n[1][1]
-    elif op == "C2":
-        n[0][1] += t * n[0][0]
-        n[1][1] += t * n[1][0]
-    else:
-        raise InvariantViolation(f"unknown 2x2 op {op!r}")
-
-
-def _emit(n, ops, op, t) -> None:
-    if t:
-        _apply_op(n, op, t)
-        ops.append((op, t))
-
-
-def _euclid_column(n, ops) -> None:
-    # gcd the pair (n00, n10) into n00 with row additions
-    while n[1][0] != 0:
-        if n[0][0] == 0:
-            _emit(n, ops, "R1", 1)
-            continue
-        _emit(n, ops, "R2", -(n[1][0] // n[0][0]))
-        if n[1][0] == 0:
-            break
-        _emit(n, ops, "R1", -(n[0][0] // n[1][0]))
-
-
-def _euclid_row(n, ops) -> None:
-    # gcd the pair (n00, n01) into n00 with column additions; the C1
-    # steps may re-dirty n10 when n11 != 0, which the caller re-clears
-    while n[0][1] != 0:
-        if n[0][0] == 0:
-            _emit(n, ops, "C1", 1)
-            continue
-        _emit(n, ops, "C2", -(n[0][1] // n[0][0]))
-        if n[0][1] == 0:
-            break
-        _emit(n, ops, "C1", -(n[0][0] // n[0][1]))
+def _clear(p: int, q: int):
+    """The SL2(Z) matrix sending the column (p, q) != 0 to (g, 0), g =
+    gcd(p, q): ((u, v), (-q/g, p/g)) with u p + v q = g, or, when p
+    divides q, the lower-triangular +-((1, 0), (-q/p, 1)), which on the
+    left changes row 1 by the sign of p alone."""
+    if p and q % p == 0:
+        s = 1 if p > 0 else -1
+        return ((s, 0), (-s * (q // p), s))
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    u = pow(p, -1, abs(q))
+    return ((u, (1 - u * p) // q), (-q, p))
 
 
 def diagonalize_ops(matrix, corner_one: bool = False):
-    """Ops turning the 2x2 matrix into diag form by additions only.
+    """SL2(Z) steps ("L", E) for N -> E N and ("R", E) for N -> N E that
+    take the 2x2 matrix N to diagonal form, and that form.
 
-    The ops preserve the determinant and the gcd of the entries.  With
-    ``corner_one`` (requires gcd of entries = 1) the final matrix is
-    exactly [[1, 0], [0, det]].
+    The steps preserve the determinant and the gcd of the entries, and
+    leave the corner non-zero unless N = 0.  If column 1 is zero, one
+    rotation moves column 2 into it; then n10 is cleared from the left
+    and n01 from the right in turn.  That loop ends without a round cap:
+    the first clear makes the corner c positive, and a later clear either
+    finds c dividing the entry, when its lower-triangular step leaves
+    the other off-diagonal entry at zero, or replaces c by a proper
+    divisor of c.  With ``corner_one`` (requires gcd of entries = 1) the
+    final matrix is exactly [[1, 0], [0, det]]: with s a + t b = 1,
+    L = _clear(a, b) and R = ((1, -t b), (1, s a)) take diag(a, b) there.
     """
-    n = [list(matrix[0]), list(matrix[1])]
-    ops: list[tuple[str, int]] = []
+    n = (tuple(matrix[0]), tuple(matrix[1]))
     if corner_one and math.gcd(*n[0], *n[1]) != 1:
         raise PreconditionFailed("corner_one needs gcd 1 entries")
-    for _ in range(_MAX_DIAG_ROUNDS):
-        if n[0][0] == 0 and (n[1][0] or n[0][1] or n[1][1]):
-            if n[1][0]:
-                _emit(n, ops, "R1", 1)
-            elif n[0][1]:
-                _emit(n, ops, "C1", 1)
-            else:
-                _emit(n, ops, "R1", 1)
-                _emit(n, ops, "C1", 1)
-        if n[1][0] == 0 and n[0][1] == 0:
-            if not corner_one or n[0][0] == 1:
-                return ops, (tuple(n[0]), tuple(n[1]))
-            if n[0][0] == -1:
-                for op, t in _NEG_IDENTITY_OPS:
-                    _emit(n, ops, op, t)
-                continue
-            # mix the other diagonal entry into column 1 and keep going
-            _emit(n, ops, "C1", 1)
-        _euclid_column(n, ops)
-        _euclid_row(n, ops)
-    raise InvariantViolation("2x2 diagonalization did not terminate")
+    steps = []
+
+    def put(side, e):
+        nonlocal n
+        steps.append((side, e))
+        n = _mul2(e, n) if side == "L" else _mul2(n, e)
+
+    if n[0][0] == n[1][0] == 0 and (n[0][1] or n[1][1]):
+        put("R", ((0, -1), (1, 0)))
+    while n[1][0] or n[0][1]:
+        if n[1][0]:
+            put("L", _clear(n[0][0], n[1][0]))
+        if n[0][1]:
+            # the transpose of a clear clears row 1 from the right
+            (u, v), (x, y) = _clear(*n[0])
+            put("R", ((u, x), (v, y)))
+    if corner_one and n[0][0] != 1:
+        a, b = n[0][0], n[1][1]
+        (s, t), row = _clear(a, b)
+        put("L", ((s, t), row))
+        put("R", ((1, -t * b), (1, s * a)))
+    return steps, n
 
 
 # -- the transvection engine ---------------------------------------------------
@@ -234,12 +208,13 @@ class _Reducer:
     def __init__(self, lattice: Lattice, coords, target_block: int, acting):
         self.lattice = lattice
         blocks = lattice.blocks
+        acting = as_tuple(acting, "acting blocks")
         acting_idx = set()
         for i in acting:
             acting_idx.update(lattice.block_range(i))  # range-checks i
             if not blocks[i].is_even:
                 raise PreconditionFailed("acting sublattice must consist of even blocks")
-        hyper = [i for i in acting if blocks[i] is Block.HYPERBOLIC]
+        hyper = {i for i in acting if blocks[i] is Block.HYPERBOLIC}
         if target_block not in acting or blocks[target_block] is not Block.HYPERBOLIC:
             raise PreconditionFailed(
                 "target block must be a hyperbolic block inside the acting sublattice"
@@ -273,17 +248,23 @@ class _Reducer:
         """Apply E_{u,v} to the running class and to the certificate."""
         self.step(_transvection_terms(self.lattice, u, v))
 
-    def block(self, ops) -> None:
-        """Apply the transvections of the 2x2 ops as one step N -> L N R,
-        L the product of the row ops and R that of the column ops: to the
-        class and to each certificate column the four pair rows reach.
+    def block(self, steps) -> None:
+        """Apply the SL2(Z) steps as one step N -> L N R, L the product of
+        the "L" steps and R that of the "R" steps: to the class and to
+        each certificate column the four pair rows reach.
 
-        R1, R2, C1 and C2 with step t stand for E_{e1, -t e2},
-        E_{f1, t f2}, E_{e1, t f2} and E_{f1, -t e2}.
+        It is a product of transvections, because SL2(Z) is generated by
+        [[1, t], [0, 1]] and [[1, 0], [t, 1]].  As row additions on the
+        left (R1: row1 += t row2, R2: row2 += t row1) and column additions
+        on the right (C1: col1 += t col2, C2: col2 += t col1) they stand
+        for E_{e1, -t e2}, E_{f1, t f2}, E_{e1, t f2} and E_{f1, -t e2}.
         """
-        l, r = [[1, 0], [0, 1]], [[1, 0], [0, 1]]
-        for op, t in ops:
-            _apply_op(l if op[0] == "R" else r, op, t)
+        l = r = ((1, 0), (0, 1))
+        for side, e in steps:
+            if side == "L":
+                l = _mul2(e, l)
+            else:
+                r = _mul2(r, e)
         (l00, l01), (l10, l11) = l
         (r00, r01), (r10, r11) = r
 
@@ -316,8 +297,8 @@ class _Reducer:
             i = next(i for i in self.rest if gy[i] != 0)
             self.move(self.lattice.unit_coords(self.e1), self.lattice.unit_coords(i))
         # stage 2: diagonalize the pair matrix
-        ops, _ = diagonalize_ops(self.pair_matrix())
-        self.block(ops)
+        steps, _ = diagonalize_ops(self.pair_matrix())
+        self.block(steps)
         if y[self.e2] != 0 or y[self.f2] != 0 or y[self.e1] == 0:
             raise InvariantViolation("stage 2 left the pair matrix off diagonal")
         # stage 3: force gcd(a, b) = 1, borrowing from w
@@ -327,8 +308,8 @@ class _Reducer:
             if math.gcd(y[self.e1], y[self.f1]) != 1:
                 raise InvariantViolation("stage 3 left gcd(a, b) != 1")
         # stage 4: reach a = 1 exactly
-        ops, _ = diagonalize_ops(self.pair_matrix(), corner_one=True)
-        self.block(ops)
+        steps, _ = diagonalize_ops(self.pair_matrix(), corner_one=True)
+        self.block(steps)
         if y[self.e1] != 1 or y[self.e2] != 0 or y[self.f2] != 0:
             raise InvariantViolation("stage 4 did not reach a = 1")
         # stage 5: absorb w
@@ -395,7 +376,7 @@ def _run(lattice: Lattice, coords, target_block: int, acting) -> tuple[_Reducer,
     """The engine on coords divided by their divisibility d, and d.  Zero
     coords take no step, so their certificate is the identity."""
     d = math.gcd(*coords)
-    red = _Reducer(lattice, [c // (d or 1) for c in coords], target_block, tuple(acting))
+    red = _Reducer(lattice, [c // (d or 1) for c in coords], target_block, acting)
     if d:
         red.run()
     return red, d

@@ -195,6 +195,13 @@ def test_parse_errors_exit_2():
     assert code == 2
 
 
+def test_info_refuses_a_surface_given_twice():
+    # the positional SURFACE and --surface together, as --surface with --lattice
+    code, out, err = call(["info", "E(3)", "--surface", "E(4)"])
+    assert code == 2 and out == ""
+    assert "not both" in err and "Traceback" not in err
+
+
 def test_zero_class_exit_2():
     zeros = ",".join(["0"] * 34)
     code, _, err = call(["genus", "--surface", "E(3)", "--class", zeros])

@@ -364,6 +364,25 @@ def test_non_sequence_coordinates_are_bad_parameters():
             build()
 
 
+_H2 = g.lattice_from_spec("2H")
+_NON_INTEGER_ARGUMENTS = {
+    "nucleus_min_genus float": (lambda: g.nucleus_min_genus(1.5, 1), g.PreconditionFailed),
+    "nucleus_min_genus str": (lambda: g.nucleus_min_genus("a", 1), g.PreconditionFailed),
+    "km_scaled_genus str": (lambda: g.km_scaled_genus("1", 2, 1), g.PreconditionFailed),
+    "km_scaled_genus float": (lambda: g.km_scaled_genus(1.5, 2, 1), g.PreconditionFailed),
+    "minus_identity_on_blocks": (lambda: g.minus_identity_on_blocks(_H2, 5), g.BadParameters),
+    "make_frame": (lambda: g.make_frame(_H2, 5), g.BadParameters),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_INTEGER_ARGUMENTS))
+def test_non_integer_arguments_are_typed_errors(call):
+    # not a bare TypeError, a verdict of genus 1.0 or an internal fault
+    build, error = _NON_INTEGER_ARGUMENTS[call]
+    with pytest.raises(error):
+        build()
+
+
 def test_parse_class_errors(H2):
     with pytest.raises(g.ParseError):
         g.parse_class(H2, "nope=1")

@@ -10,16 +10,27 @@ from hypothesis import strategies as st
 
 import genlat as g
 from genlat import intmat, reduction
-from genlat.reduction import diagonalize_ops, _apply_op
+from genlat.reduction import diagonalize_ops
 
 
-# -- the 2x2 elementary-addition engine ----------------------------------------
+# -- 2x2 Euclid in SL2(Z) --------------------------------------------------------
 
-def _replay(matrix, ops):
-    n = [list(matrix[0]), list(matrix[1])]
-    for op, t in ops:
-        _apply_op(n, op, t)
-    return (tuple(n[0]), tuple(n[1]))
+def _mul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+def _lr(steps):
+    """(L, R) with the steps taking N to L N R; every step lies in SL2(Z)."""
+    l = r = ((1, 0), (0, 1))
+    for side, e in steps:
+        assert side in ("L", "R") and _det2(e) == 1
+        l, r = (_mul(e, l), r) if side == "L" else (l, _mul(r, e))
+    return l, r
+
+
+def _replay(matrix, steps):
+    l, r = _lr(steps)
+    return _mul(_mul(l, matrix), r)
 
 
 def _det2(m):
@@ -54,14 +65,28 @@ def test_diagonalize_corner_one_exhaustive_small():
         assert final == ((1, 0), (0, _det2(m)))
 
 
-@given(st.tuples(*[st.integers(-10**6, 10**6) for _ in range(4)]))
-@settings(max_examples=300)
-def test_diagonalize_large_entries(entries):
+_UP_TO_4096_BITS = st.integers(0, 4096).flatmap(
+    lambda b: st.lists(st.integers(1 - 2**b, 2**b - 1), min_size=4, max_size=4)
+)
+
+
+@given(_UP_TO_4096_BITS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_diagonalize_large_entries(entries, corner_one):
+    # b-bit entries take at most 2b + 7 steps: every clear after the first
+    # that leaves work behind at least halves the positive corner
+    b = max(abs(e).bit_length() for e in entries)
     m = ((entries[0], entries[1]), (entries[2], entries[3]))
-    ops, final = diagonalize_ops(m)
+    corner_one = corner_one and _gcd4(m) == 1
+    ops, final = diagonalize_ops(m, corner_one=corner_one)
     assert _replay(m, ops) == final
     assert final[0][1] == 0 and final[1][0] == 0
     assert _det2(final) == _det2(m)
+    assert _gcd4(final) == _gcd4(m)
+    assert (final[0][0] != 0) == any(entries)
+    if corner_one:
+        assert final == ((1, 0), (0, _det2(m)))
+    assert len(ops) <= 2 * b + 7
 
 
 def test_diagonalize_corner_one_rejects_gcd():
@@ -69,37 +94,48 @@ def test_diagonalize_corner_one_rejects_gcd():
         diagonalize_ops(((2, 0), (0, 2)), corner_one=True)
 
 
-def test_diagonalize_internal_failures_are_typed(monkeypatch):
-    with pytest.raises(g.InvariantViolation):
-        _apply_op([[1, 0], [0, 1]], "R3", 1)
-    monkeypatch.setattr(reduction, "_MAX_DIAG_ROUNDS", 0)
-    with pytest.raises(g.InvariantViolation):
-        diagonalize_ops(((2, 1), (1, 1)))
-
-
 # -- one pair-block step against the transvections it stands for ---------------
 
 _L3E8 = g.lattice_from_spec("3H,E8-")  # e1, f1, e2, f2 are basis vectors 0-3
 _E1, _F1, _E2, _F2 = (_L3E8.basis_class(i) for i in range(4))
-# op -> (u, v) of the transvection E_{u,v} it stands for, with step t
+# row (R) and column (C) additions with step t -> (u, v) of E_{u,v}
 _OP_UV = {
     "R1": lambda t: (_E1, -t * _E2),
     "R2": lambda t: (_F1, t * _F2),
     "C1": lambda t: (_E1, t * _F2),
     "C2": lambda t: (_F1, -t * _E2),
 }
+# the same additions as SL2(Z) steps
+_OP_STEP = {
+    "R1": lambda t: ("L", ((1, t), (0, 1))),
+    "R2": lambda t: ("L", ((1, 0), (t, 1))),
+    "C1": lambda t: ("R", ((1, 0), (t, 1))),
+    "C2": lambda t: ("R", ((1, t), (0, 1))),
+}
+
+
+def _pair_block_isometry(steps):
+    """Dense N -> L N R on the pair coordinates (a, b, c, g) of x, with
+    N = [[a, c], [-g, b]], the identity elsewhere."""
+    l, r = _lr(steps)
+    m = [list(row) for row in intmat.identity(_L3E8.rank)]
+    for j, (a, b, c, gg) in enumerate(intmat.identity(4)):
+        (a, c), (mg, b) = _mul(_mul(l, ((a, c), (-gg, b))), r)
+        for i, v in enumerate((a, b, c, -mg)):
+            m[i][j] = v
+    return g.verify_isometry(_L3E8, m)
 
 
 @settings(max_examples=100)
 @given(
+    st.sampled_from(sorted(_OP_UV)),
+    st.integers(-10**6, 10**6),
     st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
     st.booleans(),
     st.lists(st.integers(-5, 5), min_size=10, max_size=10).filter(any),
     st.lists(st.integers(-50, 50), min_size=14, max_size=14),
 )
-def test_block_is_the_product_of_its_transvections(entries, corner_one, rest, coords):
-    m = ((entries[0], entries[1]), (entries[2], entries[3]))
-    ops, _ = diagonalize_ops(m, corner_one=corner_one and _gcd4(m) == 1)
+def test_block_is_the_product_of_its_transvections(op, t, entries, corner_one, rest, coords):
     red = reduction._Reducer(_L3E8, coords, 0, range(len(_L3E8.blocks)))
     # a start certificate whose pair row f1 reaches columns outside the block
     w = _L3E8.hclass([0] * 4 + rest)
@@ -107,9 +143,17 @@ def test_block_is_the_product_of_its_transvections(entries, corner_one, rest, co
     ref = g.eichler_transvection(_L3E8, _F1, w)
     assert red.certificate_matrix() == ref.matrix
     assert any(ref.matrix[1][4:])
-    red.block(ops)
-    for op, t in ops:
-        ref = g.compose(g.eichler_transvection(_L3E8, *_OP_UV[op](t)), ref)
+    # an elementary step is the transvection it stands for
+    red.block([_OP_STEP[op](t)])
+    ref = g.compose(g.eichler_transvection(_L3E8, *_OP_UV[op](t)), ref)
+    assert red.certificate_matrix() == ref.matrix
+    # general steps are N -> L N R on the pair coordinates, of spinor norm +1
+    m = ((entries[0], entries[1]), (entries[2], entries[3]))
+    steps, _ = diagonalize_ops(m, corner_one=corner_one and _gcd4(m) == 1)
+    q = _pair_block_isometry(steps)
+    assert g.spinor_norm(g.canonical_frame(_L3E8), q) == 1
+    red.block(steps)
+    ref = g.compose(q, ref)
     assert red.certificate_matrix() == ref.matrix
     assert tuple(red.y) == ref.apply(coords)
 
@@ -203,6 +247,15 @@ def test_reduce_even_errors(H, H2, e3):
 def test_reduce_even_refuses_a_bad_acting_block_index(e3, block):
     with pytest.raises(g.BadParameters):
         g.reduce_even(e3.lattice, e3.R + e3.T, 1, [1, 2, block])
+
+
+def test_reduce_even_counts_each_acting_block_once(H2E8):
+    # a repeated block is one hyperbolic plane, and a bare index is no list
+    x = H2E8.hclass([1, 2, 3, 4] + [0] * 8)
+    with pytest.raises(g.NeedTwoHyperbolicPlanes):
+        g.reduce_even(H2E8, x, 0, [0, 0])
+    with pytest.raises(g.BadParameters, match="must be a sequence"):
+        g.reduce_even(H2E8, x, 0, 5)
 
 
 def test_reduce_even_exhaustive_small_orbit(H2):
