@@ -21,7 +21,7 @@ from .elliptic import (
     parse_surface,
 )
 from .errors import BudgetExceeded, LatticeError, ParseError
-from .isometry import canonical_frame, spinor_norm, verify_isometry
+from .isometry import spinor_norm, verify_isometry
 from .lattice import HClass, Lattice, json_int_rows, lattice_from_spec
 from .oracle import DEFAULT_BUDGET, default_generators, enumerate_vectors, orbit_bfs
 from .reduction import reduce_in_elliptic
@@ -249,7 +249,7 @@ def _cmd_reduce(args, out, err) -> None:
 def _cmd_spinor(args, out, err) -> None:
     lattice = _load_lattice(args)
     iso = verify_isometry(lattice, _load_matrix(args.matrix))
-    nu = spinor_norm(canonical_frame(lattice), iso)
+    nu = spinor_norm(iso)
     if args.json:
         _emit_json({"spinor": nu}, out)
         return

@@ -38,7 +38,7 @@ class BadTransvectionData(LatticeError):
 
 
 class DegenerateFrame(LatticeError):
-    """Positive-frame data is degenerate; the input is corrupted."""
+    """det(P^T G M P) = 0 in the spinor norm: M is not an isometry."""
 
 
 class NeedTwoHyperbolicPlanes(LatticeError):

@@ -123,28 +123,3 @@ def det(a: Matrix) -> int:
         prev = pivot
     return sign * m[-1][-1]
 
-
-def leading_minors(a: Matrix) -> list[int]:
-    """Leading principal minors d_1, d_2, ... of a square matrix.
-
-    One fraction-free (Bareiss) pass without row swaps: the k-th pivot
-    is exactly d_k (Sylvester's identity).  The pass cannot continue
-    past a zero pivot, so the list ends at the first zero minor.
-    """
-    n = len(a)
-    m = [list(row) for row in a]
-    minors = []
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if pivot == 0:
-            break
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-        prev = pivot
-    return minors

@@ -1,9 +1,10 @@
 """Isometry certificates, generator constructions and exact spinor norms.
 
 Matrices act on coordinate columns; ``compose(A, B)`` applies B first.
-The spinor norm of M is the sign of det(P^T G M P) for a fixed integer
-frame P spanning a maximal positive-definite subspace, so the
-orientation bookkeeping is done entirely in exact integer arithmetic.
+The spinor norm of M is the sign of det(P^T G M P) for the fixed
+integer frame P of canonical_frame, one column e_s + f_s per rank-2
+block, spanning a maximal positive-definite subspace; the orientation
+bookkeeping is done entirely in exact integer arithmetic.
 Reflections and Eichler transvections are known here only, as terms
 I + sum a b^T that the reduction engine applies directly.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import compress
 
 from . import intmat
 from .errors import (
@@ -202,99 +202,44 @@ def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:
 
 # -- spinor norm --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinorFrame:
-    """Integer columns spanning a fixed maximal positive-definite subspace.
-
-    make_frame checks a caller's columns; canonical_frame is positive
-    definite by construction.
-    """
-
-    lattice: Lattice
-    matrix: intmat.Matrix  # rank x sig_pos
-
-    @cached_property
-    def _sparse(self) -> tuple[tuple, tuple]:
-        """(index, entry) pairs of each frame column p and of each G p."""
-        cols = intmat.transpose(self.matrix)
-        return (
-            tuple(map(intmat._nonzeros, cols)),
-            tuple(intmat._nonzeros(self.lattice.gram_apply(p)) for p in cols),
-        )
-
-    @cached_property
-    def _gram(self) -> intmat.Matrix:
-        """D = P^T G P, whose entry (a, b) pairs G p_a with p_b."""
-        p_cols, gp_rows = self._sparse
-        p, k = self.matrix, range(len(p_cols))
-        return tuple(tuple(sum(g * p[j][b] for j, g in gp) for b in k) for gp in gp_rows)
-
-
-def make_frame(lattice: Lattice, columns) -> SpinorFrame:
-    """The frame with the given columns, classes or integer coordinate
-    sequences over the lattice, once they are checked to span a
-    positive-definite subspace of dimension sig_pos."""
-    cols = []
-    for c in as_tuple(columns, "frame columns"):
-        if not isinstance(c, HClass):
-            c = lattice.hclass(c)
-        check_same_lattice(lattice, c.lattice)
-        cols.append(c.coords)
-    if len(cols) != lattice.sig_pos:
-        raise DegenerateFrame(f"frame needs {lattice.sig_pos} columns, got {len(cols)}")
-    p = tuple(tuple(col[r] for col in cols) for r in range(lattice.rank))
-    frame = SpinorFrame(lattice, p)
-    # Sylvester: positive definite iff every leading principal minor is > 0
-    minors = intmat.leading_minors(frame._gram)
-    if any(d <= 0 for d in minors):
-        raise DegenerateFrame("frame is not positive definite")
-    return frame
-
-
 @lru_cache(maxsize=None)
-def canonical_frame(lattice: Lattice) -> SpinorFrame:
-    """One column e_i + f_i per rank-2 block.
+def canonical_frame(lattice: Lattice) -> tuple[tuple[int, int], ...]:
+    """The frame P with one column p = e_s + f_s per rank-2 block at offset
+    s, as the pairs (s, c) with G p = e_s + c e_{s+1}: c = 1 on H, 2 on H'.
 
-    The columns are mutually orthogonal, of square 2 on H and 3 on H',
-    so D = P^T G P is a positive diagonal matrix by construction; unlike
-    make_frame, nothing is left to check at run time.
+    The columns are mutually orthogonal, of square 1 + c, so D = P^T G P
+    is a positive diagonal and P spans a maximal positive-definite
+    subspace by construction.
     """
-    starts = [s for b, s in zip(lattice.blocks, lattice.block_offsets) if b is not Block.MINUS_E8]
-    p = [[0] * len(starts) for _ in range(lattice.rank)]
-    for b, s in enumerate(starts):
-        p[s][b] = p[s + 1][b] = 1
-    return SpinorFrame(lattice, tuple(map(tuple, p)))
+    return tuple(
+        (s, sum(b.gram[1]))  # c = (G p)[s + 1], row 1 of the block Gram times (1, 1)
+        for b, s in zip(lattice.blocks, lattice.block_offsets)
+        if b is not Block.MINUS_E8
+    )
 
 
-def spinor_norm(frame: SpinorFrame, m: Isometry) -> int:
-    """+1 iff m preserves the orientation of the positive part.
+def spinor_norm(m: Isometry) -> int:
+    """+1 iff m preserves the orientation of the positive part: the sign
+    of det B, B = P^T G M P over canonical_frame.
 
-    B = P^T G M P is built a column at a time, as P^T G (M p) from the
-    columns of M; a frame column p that M fixes gives the column of
-    D = P^T G P.  Expanding det B along a column equal to c e_b with
-    c > 0 leaves c times the minor without row and column b, so every
-    such index is dropped, whatever the frame, and one determinant over
-    the rest gives the sign.  On canonical_frame, D is a positive
-    diagonal, so every frame column that M fixes is dropped.
+    Column b of B pairs each G p_a = e_s + c e_{s+1} with M p_b = m_s +
+    m_{s+1}, the sum of two columns of M.  Expanding det B along a column
+    equal to d e_b with d > 0 leaves d times the minor without row and
+    column b, so every such index is dropped, and one determinant over
+    the rest gives the sign.  A frame column that M fixes gives D_bb e_b
+    and is dropped without being computed.
     """
-    check_same_lattice(frame.lattice, m.lattice)
-    n = m.lattice.rank
     cols = m._columns
-    d = frame._gram
-    p_cols, gp_rows = frame._sparse
-    bt = []  # the columns of B, i.e. the rows of B^T
-    for b, p in enumerate(p_cols):
-        if all(_is_unit(cols[k], k) for k, _ in p):
-            bt.append(d[b])  # M p = p; D is symmetric
+    frame = canonical_frame(m.lattice)
+    kept = {}  # b -> column b of B
+    for b, (s, _) in enumerate(frame):
+        x, y = cols[s], cols[s + 1]
+        if _is_unit(x, s) and _is_unit(y, s + 1):
             continue
-        mp = [0] * n
-        for k, c in p:
-            col = cols[k]
-            for r in compress(range(n), col):
-                mp[r] += c * col[r]
-        bt.append(tuple(sum(g * mp[j] for j, g in gp) for gp in gp_rows))
-    keep = [b for b, col in enumerate(bt) if col[b] <= 0 or col.count(0) < len(col) - 1]
-    det = intmat.det([[bt[c][a] for a in keep] for c in keep])
+        col = [x[t] + y[t] + c * (x[t + 1] + y[t + 1]) for t, c in frame]
+        if col[b] <= 0 or col.count(0) < len(col) - 1:
+            kept[b] = col
+    det = intmat.det([[col[a] for a in kept] for col in kept.values()])
     if det == 0:
         raise DegenerateFrame("det(P^T G M P) = 0; input is not an isometry")
     return 1 if det > 0 else -1
@@ -315,7 +260,7 @@ def realizability(surface, m: Isometry) -> Realizability:
     k-fixing spinor-norm-1 subgroup, so a miss returns UNKNOWN.
     """
     check_same_lattice(surface.lattice, m.lattice)
-    nu = spinor_norm(canonical_frame(surface.lattice), m)
+    nu = spinor_norm(m)
     if surface.is_k3:
         return Realizability.REALIZABLE if nu == 1 else Realizability.NOT_REALIZABLE
     if nu == 1 and fixes_class(m, surface.k):

@@ -191,6 +191,8 @@ class Lattice:
         return tuple(int(j == index) for j in range(self.rank))
 
     def basis_class(self, ref: int | str) -> "HClass":
+        if isinstance(ref, bool):
+            raise BadParameters(f"bad basis index {ref!r}")
         index = ref if isinstance(ref, int) else self.name_index(ref)
         if not 0 <= index < self.rank:
             raise BadParameters(f"basis index {index} out of range")

@@ -20,13 +20,12 @@ from . import intmat
 from .errors import BudgetExceeded, InvariantViolation, LatticeError, PreconditionFailed
 from .isometry import (
     Isometry,
-    canonical_frame,
     eichler_transvection,
     reflection,
     spinor_norm,
     verify_isometry,
 )
-from .lattice import HClass, Lattice, check_same_lattice
+from .lattice import HClass, Lattice, check_ints, check_same_lattice
 
 DEFAULT_BUDGET = 10**6
 
@@ -77,6 +76,7 @@ def enumerate_vectors(
 ) -> list[HClass]:
     """All classes with max-norm <= bound of the given square and
     divisibility, in lexicographic coordinate order."""
+    check_ints((square, divisibility, bound), PreconditionFailed, "square, divisibility, bound")
     if bound < 1:
         raise PreconditionFailed("bound must be at least 1")
     if divisibility < 1:
@@ -197,6 +197,7 @@ def orbit_bfs(
     The report's square and divisibility are the given ones, which every
     seed must have, or else those the seeds share (None with no seeds).
     """
+    check_ints((bound,), PreconditionFailed, "bound")
     seeds = list(seeds)
     for s in seeds:
         check_same_lattice(lattice, s.lattice)
@@ -206,8 +207,10 @@ def orbit_bfs(
         divisibility = seeds[0].divisibility() if divisibility is None else divisibility
     if any(s.square() != square or s.divisibility() != divisibility for s in seeds):
         raise PreconditionFailed("seeds must share the report's square and divisibility")
-    frame = canonical_frame(lattice)
-    gens = [(g.matrix, spinor_norm(frame, g) == 1) for g in generators]
+    gens = []
+    for gen in generators:
+        check_same_lattice(lattice, gen.lattice)
+        gens.append((gen.matrix, spinor_norm(gen) == 1))
 
     # an image outside the bound joins nothing, even when it is a seed
     members = {x for x in seed_coords if max(map(abs, x), default=0) <= bound}
@@ -312,6 +315,7 @@ def exhaustive_isometry_search(
     """
     check_same_lattice(lattice, x.lattice)
     check_same_lattice(lattice, y.lattice)
+    check_ints((entry_bound,), PreconditionFailed, "entry_bound")
     if x.square() != y.square():
         raise PreconditionFailed("x and y must have equal square")
     if x.divisibility() != y.divisibility():

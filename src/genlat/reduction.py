@@ -57,7 +57,6 @@ from .isometry import (
     _checked_isometry,
     _reflection_terms,
     _transvection_terms,
-    canonical_frame,
     eichler_transvection,
     fixes_class,
     spinor_norm,
@@ -89,7 +88,7 @@ class ReductionResult:
 
     @cached_property
     def spinor(self) -> int:
-        return spinor_norm(canonical_frame(self.certificate.lattice), self.certificate)
+        return spinor_norm(self.certificate)
 
     @cached_property
     def fixes_k(self) -> bool:
@@ -215,6 +214,8 @@ class _Reducer:
             if not blocks[i].is_even:
                 raise PreconditionFailed("acting sublattice must consist of even blocks")
         hyper = {i for i in acting if blocks[i] is Block.HYPERBOLIC}
+        if target_block in acting:
+            lattice.block_range(target_block)  # refuses 1.0 and True
         if target_block not in acting or blocks[target_block] is not Block.HYPERBOLIC:
             raise PreconditionFailed(
                 "target block must be a hyperbolic block inside the acting sublattice"

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import settings
@@ -88,3 +90,68 @@ def random_isometry(lattice, rng: random.Random, pool=None, steps=4):
     for _ in range(steps):
         iso = g.compose(rng.choice(pool), iso)
     return iso
+
+
+# -- a dense spinor-norm reference over any frame -----------------------------------
+#
+# The library reads its frame from canonical_frame only; these build frames
+# as dense coordinate columns and compute det(P^T G M P) with no shortcut.
+
+
+def fraction_det(a):
+    """Textbook Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def pair_columns(lattice, p, q):
+    """The dense matrix of p_a^T G q_b over the columns p_a of p and q_b of q."""
+    gq = [[sum(map(mul, row, col)) for row in lattice.gram] for col in q]
+    return [[sum(map(mul, pa, gqb)) for gqb in gq] for pa in p]
+
+
+def block_frame(lattice):
+    """The columns e_s + f_s, one per rank-2 block at offset s."""
+    cols = []
+    for b, s in zip(lattice.blocks, lattice.block_offsets):
+        if b.rank == 2:
+            col = [0] * lattice.rank
+            col[s] = col[s + 1] = 1
+            cols.append(tuple(col))
+    return cols
+
+
+def skew_frame(lattice):
+    """Columns p_0, p_1 + p_0, p_2 + p_1, ... from block_frame: the
+    Gram P^T G P is not diagonal."""
+    p = block_frame(lattice)
+    return p[:1] + [tuple(map(add, p[b], p[b - 1])) for b in range(1, len(p))]
+
+
+def assert_positive_frame(lattice, p):
+    """sig_pos columns whose Gram has every dense leading minor > 0
+    (Sylvester), so they span a maximal positive-definite subspace."""
+    assert len(p) == lattice.sig_pos
+    d = pair_columns(lattice, p, p)
+    assert all(fraction_det([row[:k] for row in d[:k]]) > 0 for k in range(1, len(d) + 1))
+
+
+def frame_spinor_sign(lattice, p, iso):
+    """The sign of the dense det(P^T G M P)."""
+    mp = [tuple(sum(map(mul, row, col)) for row in iso.matrix) for col in p]
+    d = fraction_det(pair_columns(lattice, p, mp))
+    assert d != 0
+    return 1 if d > 0 else -1

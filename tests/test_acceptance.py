@@ -13,7 +13,13 @@ from contextlib import contextmanager
 import genlat as g
 from genlat import intmat
 
-from conftest import generator_pool, random_isometry
+from conftest import (
+    assert_positive_frame,
+    block_frame,
+    frame_spinor_sign,
+    generator_pool,
+    random_isometry,
+)
 
 
 @contextmanager
@@ -33,22 +39,20 @@ def criterion(num, name, max_seconds=None):
 def test_acceptance_1_spinor_fixtures(e3):
     with criterion(1, "spinor norm fixtures", max_seconds=1.0):
         lat = e3.lattice
-        frame = g.canonical_frame(lat)
         # blocks 1 and 2 are the first two hyperbolic planes of the model
         one = g.minus_identity_on_blocks(lat, [1])
         two = g.minus_identity_on_blocks(lat, [1, 2])
-        assert g.spinor_norm(frame, one) == -1
-        assert g.spinor_norm(frame, two) == 1
+        assert g.spinor_norm(one) == -1
+        assert g.spinor_norm(two) == 1
 
 
 def test_acceptance_2_phi_certificates(e3):
     with criterion(2, "phi isometry certificates", max_seconds=1.0):
         lat = e3.lattice
-        frame = g.canonical_frame(lat)
         for alpha in range(-5, 6):
             phi = g.phi_isometry(e3, alpha)
             g.verify_isometry(lat, phi.matrix)
-            assert g.spinor_norm(frame, phi) == 1
+            assert g.spinor_norm(phi) == 1
             assert g.fixes_class(phi, e3.k)
             assert phi(alpha * e3.k + e3.S) == e3.S
 
@@ -73,7 +77,6 @@ def test_acceptance_4_reduction_soundness_fuzz(e3):
     with criterion(4, "reduction soundness fuzz", max_seconds=60.0):
         lat = e3.lattice
         rng = random.Random(20240817)
-        frame = g.canonical_frame(lat)
         done = 0
         while done < 200:
             coords = [rng.randint(-3, 3) for _ in range(lat.rank)]
@@ -85,7 +88,7 @@ def test_acceptance_4_reduction_soundness_fuzz(e3):
             res = g.reduce_in_elliptic(e3, a)
             cert = res.certificate
             g.verify_isometry(lat, cert.matrix)
-            assert g.spinor_norm(frame, cert) == 1
+            assert g.spinor_norm(cert) == 1
             assert g.fixes_class(cert, e3.k)
             assert g.fixes_class(cert, e3.W)
             assert res.canonical.square() == a.square()
@@ -170,20 +173,17 @@ def test_acceptance_8_invariant_suites(e3, H2E8):
     with criterion(8, "invariant suites"):
         # spinor multiplicativity over 500 random generator products
         rng = random.Random(11)
-        frame8 = g.canonical_frame(H2E8)
         pool = generator_pool(H2E8)
         for _ in range(500):
             a = g.compose(rng.choice(pool), rng.choice(pool))
             b = rng.choice(pool)
-            assert g.spinor_norm(frame8, g.compose(a, b)) == g.spinor_norm(
-                frame8, a
-            ) * g.spinor_norm(frame8, b)
+            assert g.spinor_norm(g.compose(a, b)) == g.spinor_norm(a) * g.spinor_norm(b)
         # -id has spinor norm (-1)^{b2+} on the model lattices, n <= 4
         for n in (2, 3, 4):
             surf = g.make_surface(n)
             lat = surf.lattice
             neg = g.minus_identity_on_blocks(lat, range(len(lat.blocks)))
-            assert g.spinor_norm(g.canonical_frame(lat), neg) == (-1) ** lat.sig_pos
+            assert g.spinor_norm(neg) == (-1) ** lat.sig_pos
         # every Eichler transvection: spinor +1, determinant +1
         e1 = H2E8.basis_class("e1")
         f1 = H2E8.basis_class("f1")
@@ -197,7 +197,7 @@ def test_acceptance_8_invariant_suites(e3, H2E8):
             (e1, 3 * e2), (e1, e2 - f2),
         ]:
             t = g.eichler_transvection(H2E8, u, v)
-            assert g.spinor_norm(frame8, t) == 1
+            assert g.spinor_norm(t) == 1
             assert intmat.det(t.matrix) == 1
         # canonical class is characteristic over the whole grid
         for n in range(2, 6):
@@ -207,19 +207,20 @@ def test_acceptance_8_invariant_suites(e3, H2E8):
                         continue
                     surf = g.make_surface(n, p, q)
                     assert g.canonical_class(surf).is_characteristic()
-        # frame independence on 100 random isometries
-        frame_a = g.canonical_frame(e3.lattice)
-        cols = []
-        for i, b in enumerate(e3.lattice.blocks):
+        # frame independence on 100 random isometries: the norm is the
+        # sign of det(P^T G M P) over another positive frame, built here
+        lat3 = e3.lattice
+        frame_b = []
+        for i, b in enumerate(lat3.blocks):
             if b.rank == 2:
-                start = e3.lattice.block_offsets[i]
-                col = [0] * e3.lattice.rank
+                start = lat3.block_offsets[i]
+                col = [0] * lat3.rank
                 col[start] = 1
                 col[start + 1] = 1 if i < 4 else 2
-                cols.append(tuple(col))
-        frame_b = g.make_frame(e3.lattice, cols)
-        assert frame_b.matrix != frame_a.matrix
-        pool3 = generator_pool(e3.lattice)
+                frame_b.append(tuple(col))
+        assert_positive_frame(lat3, frame_b)
+        assert frame_b != block_frame(lat3)
+        pool3 = generator_pool(lat3)
         for _ in range(100):
-            m = random_isometry(e3.lattice, rng, pool3, steps=3)
-            assert g.spinor_norm(frame_a, m) == g.spinor_norm(frame_b, m)
+            m = random_isometry(lat3, rng, pool3, steps=3)
+            assert g.spinor_norm(m) == frame_spinor_sign(lat3, frame_b, m)

@@ -262,7 +262,7 @@ def test_min_genus_invariant_under_k_fixing_spinor_one(e3, k3):
     pool = generator_pool(k3.lattice)
     for _ in range(10):
         m = g.compose(rng.choice(pool), rng.choice(pool))
-        if g.spinor_norm(g.canonical_frame(k3.lattice), m) != 1:
+        if g.spinor_norm(m) != 1:
             continue
         a = k3.parse_class("k=1,e1=2,f1=1")
         base = g.min_genus(k3, a)

@@ -1,11 +1,19 @@
 import random
+from operator import mul
 
 import pytest
 
 import genlat as g
 from genlat import intmat
 
-from conftest import generator_pool, random_isometry
+from conftest import (
+    assert_positive_frame,
+    block_frame,
+    frame_spinor_sign,
+    generator_pool,
+    pair_columns,
+    random_isometry,
+)
 
 
 # -- verify_isometry -------------------------------------------------------------
@@ -201,29 +209,26 @@ def test_transvection_odd_square_v_rejected(e3):
 # -- spinor norm ---------------------------------------------------------------------
 
 def test_spinor_norm_fixtures(H2):
-    frame = g.canonical_frame(H2)
-    assert g.spinor_norm(frame, g.identity_isometry(H2)) == 1
-    assert g.spinor_norm(frame, g.minus_identity_on_blocks(H2, [0])) == -1
-    assert g.spinor_norm(frame, g.minus_identity_on_blocks(H2, [0, 1])) == 1
+    assert g.spinor_norm(g.identity_isometry(H2)) == 1
+    assert g.spinor_norm(g.minus_identity_on_blocks(H2, [0])) == -1
+    assert g.spinor_norm(g.minus_identity_on_blocks(H2, [0, 1])) == 1
 
 
 @pytest.mark.parametrize("spec", ["H", "2H", "H',2H,E8-", "3H,2E8-"])
 def test_spinor_norm_of_minus_identity(spec):
     lat = g.lattice_from_spec(spec)
     neg = g.minus_identity_on_blocks(lat, range(len(lat.blocks)))
-    assert g.spinor_norm(g.canonical_frame(lat), neg) == (-1) ** lat.sig_pos
+    assert g.spinor_norm(neg) == (-1) ** lat.sig_pos
 
 
 def test_reflection_spinor_sign_by_square(H2E8):
-    frame = g.canonical_frame(H2E8)
     e1, f1 = H2E8.basis_class("e1"), H2E8.basis_class("f1")
-    assert g.spinor_norm(frame, g.reflection(H2E8, e1 + f1)) == -1  # square 2
-    assert g.spinor_norm(frame, g.reflection(H2E8, e1 - f1)) == 1   # square -2
-    assert g.spinor_norm(frame, g.reflection(H2E8, H2E8.basis_class("x1_1"))) == 1
+    assert g.spinor_norm(g.reflection(H2E8, e1 + f1)) == -1  # square 2
+    assert g.spinor_norm(g.reflection(H2E8, e1 - f1)) == 1   # square -2
+    assert g.spinor_norm(g.reflection(H2E8, H2E8.basis_class("x1_1"))) == 1
 
 
 def test_transvections_have_spinor_one_and_det_one(H2E8):
-    frame = g.canonical_frame(H2E8)
     e1 = H2E8.basis_class("e1")
     f1 = H2E8.basis_class("f1")
     e2 = H2E8.basis_class("e2")
@@ -231,73 +236,46 @@ def test_transvections_have_spinor_one_and_det_one(H2E8):
     x2 = H2E8.basis_class("x1_2")
     for u, v in [(e1, e2), (e1, x1), (f1, x1 + 2 * x2), (e2, e1)]:
         t = g.eichler_transvection(H2E8, u, v)
-        assert g.spinor_norm(frame, t) == 1
+        assert g.spinor_norm(t) == 1
         assert intmat.det(t.matrix) == 1
 
 
 def test_spinor_norm_multiplicative(H2E8):
     rng = random.Random(23)
-    frame = g.canonical_frame(H2E8)
     pool = generator_pool(H2E8)
     for _ in range(60):
         a = random_isometry(H2E8, rng, pool)
         b = random_isometry(H2E8, rng, pool)
-        assert g.spinor_norm(frame, g.compose(a, b)) == g.spinor_norm(
-            frame, a
-        ) * g.spinor_norm(frame, b)
+        assert g.spinor_norm(g.compose(a, b)) == g.spinor_norm(a) * g.spinor_norm(b)
 
 
 def test_spinor_norm_frame_independent(H2):
     rng = random.Random(5)
-    f1 = g.canonical_frame(H2)
     # a second positive frame, not orthogonal, not canonical
-    f2 = g.make_frame(H2, [H2.hclass([1, 1, 0, 0]), H2.hclass([1, 0, 2, 1])])
+    frame = [(1, 1, 0, 0), (1, 0, 2, 1)]
+    assert_positive_frame(H2, frame)
+    assert pair_columns(H2, frame, frame)[0][1] != 0
     pool = generator_pool(H2)
     for _ in range(40):
         m = random_isometry(H2, rng, pool)
-        assert g.spinor_norm(f1, m) == g.spinor_norm(f2, m)
-
-
-def test_make_frame_validates(H2):
-    with pytest.raises(g.DegenerateFrame):
-        g.make_frame(H2, [H2.hclass([1, 1, 0, 0])])  # wrong column count
-    with pytest.raises(g.DegenerateFrame):
-        g.make_frame(
-            H2, [H2.hclass([1, -1, 0, 0]), H2.hclass([0, 0, 1, 1])]
-        )  # first column has square -2
-    with pytest.raises(g.DegenerateFrame):
-        g.make_frame(
-            H2, [H2.hclass([1, 0, 0, 0]), H2.hclass([0, 0, 1, 1])]
-        )  # first leading minor is 0
-    with pytest.raises(g.DegenerateFrame):
-        g.make_frame(
-            H2, [H2.hclass([1, 1, 0, 0]), H2.hclass([1, 1, 0, 0])]
-        )  # second leading minor is 0
-    with pytest.raises(g.DegenerateFrame):
-        g.make_frame(
-            H2, [H2.hclass([1, 1, 0, 0]), H2.hclass([1, 2, 0, 0])]
-        )  # second leading minor is 2*4 - 3*3 < 0
-
-
-@pytest.mark.parametrize(
-    "columns",
-    [
-        [(1, 1, 0, 0), (0, 0, 1)],  # too short: not an IndexError
-        [(1, 1, 0, 0, 0), (0, 0, 1, 1)],  # too long: not truncated
-        [(1.5, 1, 0, 0), (0, 0, 1, 1)],  # kept, the norm would not be exact
-        [(True, 1, 0, 0), (0, 0, 1, 1)],
-    ],
-)
-def test_make_frame_refuses_malformed_columns(H2, columns):
-    with pytest.raises(g.BadParameters):
-        g.make_frame(H2, columns)
+        assert g.spinor_norm(m) == frame_spinor_sign(H2, frame, m)
 
 
 @pytest.mark.parametrize("spec", ["H", "H'", "2H,E8-", "E(3)", "E(2;2,3)", "E(16)"])
-def test_canonical_frame_passes_the_make_frame_checks(spec):
+def test_canonical_frame_describes_a_positive_diagonal_frame(spec):
     lat = g.parse_surface(spec).lattice if spec.startswith("E(") else g.lattice_from_spec(spec)
-    frame = g.canonical_frame(lat)
-    assert g.make_frame(lat, list(zip(*frame.matrix))) == frame
+    p = []
+    for s, c in g.canonical_frame(lat):
+        col = [0] * lat.rank
+        col[s] = col[s + 1] = 1
+        gp = [0] * lat.rank
+        gp[s], gp[s + 1] = 1, c
+        assert [sum(map(mul, row, col)) for row in lat.gram] == gp  # G p = e_s + c e_{s+1}
+        p.append(tuple(col))
+    assert p == block_frame(lat) and len(p) == lat.sig_pos
+    d = pair_columns(lat, p, p)
+    assert all(d[a][b] == 0 for a in range(len(p)) for b in range(len(p)) if a != b)
+    assert all(d[a][a] > 0 for a in range(len(p)))
 
 
 @pytest.mark.parametrize("block", [99, -1, 1.0, True])
@@ -307,10 +285,9 @@ def test_minus_identity_refuses_a_bad_block_index(e3, block):
 
 
 def test_degenerate_frame_on_corrupted_input(H2):
-    frame = g.canonical_frame(H2)
     zero = g.Isometry(H2, tuple(tuple(0 for _ in range(4)) for _ in range(4)))
     with pytest.raises(g.DegenerateFrame):
-        g.spinor_norm(frame, zero)
+        g.spinor_norm(zero)
 
 
 # -- fixes_class / realizability ------------------------------------------------------
@@ -337,11 +314,11 @@ def test_realizability_non_k3(e3):
     assert g.realizability(e3, phi) is g.Realizability.REALIZABLE
     # spinor -1: outside the known subgroup, but containment cannot rule it out
     neg = g.minus_identity_on_blocks(e3.lattice, range(len(e3.lattice.blocks)))
-    assert g.spinor_norm(g.canonical_frame(e3.lattice), neg) == -1
+    assert g.spinor_norm(neg) == -1
     assert g.realizability(e3, neg) is g.Realizability.UNKNOWN
     # spinor +1 but k moves: also undecided
     swap = g.minus_identity_on_blocks(e3.lattice, [0, 1])
-    assert g.spinor_norm(g.canonical_frame(e3.lattice), swap) == 1
+    assert g.spinor_norm(swap) == 1
     assert not g.fixes_class(swap, e3.k)
     assert g.realizability(e3, swap) is g.Realizability.UNKNOWN
 

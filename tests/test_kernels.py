@@ -6,9 +6,7 @@ has no shortcut to get wrong.
 """
 
 import random
-from fractions import Fraction
 from functools import cache
-from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,15 @@ from hypothesis import strategies as st
 import genlat as g
 from genlat import intmat
 
-from conftest import generator_pool, random_isometry
+from conftest import (
+    assert_positive_frame,
+    block_frame,
+    frame_spinor_sign,
+    generator_pool,
+    pair_columns,
+    random_isometry,
+    skew_frame,
+)
 
 # -- dense references ------------------------------------------------------------
 
@@ -119,19 +125,6 @@ def test_identity_plus_matches_dense(n, data):
         tuple(int(i == j) + u[i] * w[j] for j in range(n)) for i in range(n)
     )
     assert intmat.identity_plus(n, [(u, w)]) == want
-
-
-@given(st.integers(1, 6).flatmap(lambda n: matrices(n, n)))
-def test_leading_minors_match_determinants(a):
-    n = len(a)
-    minors = intmat.leading_minors(a)
-    want = []
-    for k in range(1, n + 1):
-        d = intmat.det(tuple(row[:k] for row in a[:k]))
-        want.append(d)
-        if d == 0:
-            break
-    assert minors == want
 
 
 def test_identity_shape():
@@ -246,38 +239,19 @@ def test_verify_matches_dense_in_moved_and_unit_columns(spec, where, data):
     assert exc.value.entry == wrong[0]
 
 
-def _fraction_det(a):
-    """Textbook Gaussian elimination over the rationals."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return det
-
-
 @cache
 def _spinor_setup(spec):
-    """The surface, its generator pool, and the canonical frame next to a
-    frame with columns p_0, p_1 + p_0, p_2 + p_1, ... whose Gram is not
-    diagonal."""
+    """The surface, its generator pool, and two positive frames as dense
+    columns: e_s + f_s per rank-2 block, and a skew frame whose Gram is
+    not diagonal."""
     s = g.parse_surface(spec)
     lat = s.lattice
-    canonical = g.canonical_frame(lat)
-    p = list(zip(*canonical.matrix))
-    skew = g.make_frame(
-        lat, [p[0]] + [tuple(map(add, p[b], p[b - 1])) for b in range(1, len(p))]
-    )
-    return s, generator_pool(lat), (canonical, skew)
+    frames = (block_frame(lat), skew_frame(lat))
+    for p in frames:
+        assert_positive_frame(lat, p)
+    d_skew = pair_columns(lat, frames[1], frames[1])
+    assert any(x for i, row in enumerate(d_skew) for j, x in enumerate(row) if i != j)
+    return s, generator_pool(lat), frames
 
 
 @settings(max_examples=40)
@@ -299,19 +273,14 @@ def test_spinor_norm_matches_dense_determinant(spec, seed, steps, flip, negate):
         iso = g.compose(g.minus_identity_on_blocks(lat, blocks), iso)
     if flip:  # the reflection in R + T, of square 2, has spinor norm -1
         iso = g.compose(g.reflection(lat, s.R + s.T), iso)
-    skew = frames[1].matrix
-    d_skew = dense_matmul(dense_matmul(tuple(zip(*skew)), lat.gram), skew)
-    assert any(x for i, row in enumerate(d_skew) for j, x in enumerate(row) if i != j)
-    for frame in frames:
-        p = frame.matrix
-        b = dense_matmul(dense_matmul(tuple(zip(*p)), lat.gram), dense_matmul(iso.matrix, p))
-        d = _fraction_det(b)
-        assert d != 0
-        assert g.spinor_norm(frame, iso) == (1 if d > 0 else -1)
+    # the sign does not depend on the positive frame
+    for p in frames:
+        assert g.spinor_norm(iso) == frame_spinor_sign(lat, p, iso)
 
 
 def test_spinor_norm_of_the_reflection_in_r_plus_t():
     for spec in ("E(3)", "E(2;2,3)"):
         s, _, frames = _spinor_setup(spec)
         r = g.reflection(s.lattice, s.R + s.T)
-        assert [g.spinor_norm(f, r) for f in frames] == [-1, -1]
+        assert g.spinor_norm(r) == -1
+        assert [frame_spinor_sign(s.lattice, p, r) for p in frames] == [-1, -1]

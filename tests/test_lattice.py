@@ -284,10 +284,6 @@ _MISMATCHED = {
     "reflection": lambda: g.reflection(_E3.lattice, _theirs(_E3.S)),
     "eichler_transvection_u": lambda: g.eichler_transvection(_E3.lattice, _theirs(_E3.R), _E3.k),
     "eichler_transvection_v": lambda: g.eichler_transvection(_E3.lattice, _E3.R, _theirs(_E3.k)),
-    "spinor_norm": lambda: g.spinor_norm(g.canonical_frame(_OTHER), _ID),
-    "make_frame": lambda: g.make_frame(
-        _E3.lattice, [_OTHER.hclass(c) for c in zip(*g.canonical_frame(_OTHER).matrix)]
-    ),
     "realizability": lambda: g.realizability(_E3, _ID_OTHER),
     "adjunction_bound": lambda: g.adjunction_bound(_E3, _theirs(_E3.R)),
     "min_genus": lambda: g.min_genus(_E3, _theirs(_E3.R)),
@@ -295,6 +291,7 @@ _MISMATCHED = {
     "reduce_in_elliptic": lambda: g.reduce_in_elliptic(_E3, _theirs(_E3.R + _E3.T)),
     "sphere_reduction": lambda: g.sphere_reduction(_E3, _theirs(_E3.R - _E3.T)),
     "orbit_bfs": lambda: g.orbit_bfs(_E3.lattice, [_theirs(_E3.R)], [_ID], 1),
+    "orbit_bfs_generators": lambda: g.orbit_bfs(_E3.lattice, [_E3.R], [_ID_OTHER], 1),
     "exhaustive_isometry_search_x": lambda: g.exhaustive_isometry_search(
         _E3.lattice, _theirs(_E3.R), _E3.R, 1
     ),
@@ -357,7 +354,6 @@ def test_non_sequence_coordinates_are_bad_parameters():
     H2 = g.lattice_from_spec("2H")
     for build in (
         lambda: H2.hclass(5),
-        lambda: g.make_frame(H2, [5, 6]),
         lambda: g.HClass(H2, None),
     ):
         with pytest.raises(g.BadParameters, match="must be a sequence"):
@@ -365,13 +361,28 @@ def test_non_sequence_coordinates_are_bad_parameters():
 
 
 _H2 = g.lattice_from_spec("2H")
+_H3 = g.lattice_from_spec("3H")
+_X3 = _H3.hclass((1, 1, 0, 0, 0, 0))
 _NON_INTEGER_ARGUMENTS = {
     "nucleus_min_genus float": (lambda: g.nucleus_min_genus(1.5, 1), g.PreconditionFailed),
     "nucleus_min_genus str": (lambda: g.nucleus_min_genus("a", 1), g.PreconditionFailed),
     "km_scaled_genus str": (lambda: g.km_scaled_genus("1", 2, 1), g.PreconditionFailed),
     "km_scaled_genus float": (lambda: g.km_scaled_genus(1.5, 2, 1), g.PreconditionFailed),
     "minus_identity_on_blocks": (lambda: g.minus_identity_on_blocks(_H2, 5), g.BadParameters),
-    "make_frame": (lambda: g.make_frame(_H2, 5), g.BadParameters),
+    "reduce_even target float": (lambda: g.reduce_even(_H3, _X3, 1.0), g.BadParameters),
+    "reduce_even target bool": (lambda: g.reduce_even(_H3, _X3, True), g.BadParameters),
+    "enumerate_vectors bound": (lambda: g.enumerate_vectors(_H3, 2, 1, 1.5), g.PreconditionFailed),
+    "enumerate_vectors square": (lambda: g.enumerate_vectors(_H3, 2.0, 1, 1), g.PreconditionFailed),
+    "enumerate_vectors divisibility": (
+        lambda: g.enumerate_vectors(_H3, 2, True, 1), g.PreconditionFailed
+    ),
+    "exhaustive_isometry_search": (
+        lambda: g.exhaustive_isometry_search(_H3, _X3, _X3, 1.5), g.PreconditionFailed
+    ),
+    "orbit_bfs bound": (
+        lambda: g.orbit_bfs(_H3, [_X3], [g.identity_isometry(_H3)], 1.5), g.PreconditionFailed
+    ),
+    "basis_class bool": (lambda: _H3.basis_class(True), g.BadParameters),
 }
 
 

@@ -58,14 +58,13 @@ def test_default_generators_verified_and_deduped(H2):
 
 
 def test_generator_spinor_signs(H2):
-    frame = g.canonical_frame(H2)
     e1, f1 = H2.basis_class("e1"), H2.basis_class("f1")
     pos = g.reflection(H2, e1 + f1)
     neg = g.reflection(H2, e1 - f1)
     gens = {iso.matrix: iso for iso in g.default_generators(H2)}
     assert pos.matrix in gens and neg.matrix in gens
-    assert g.spinor_norm(frame, pos) == -1
-    assert g.spinor_norm(frame, neg) == 1
+    assert g.spinor_norm(pos) == -1
+    assert g.spinor_norm(neg) == 1
 
 
 # -- orbit_bfs --------------------------------------------------------------------
@@ -200,8 +199,7 @@ def _ref_orbit_bfs(lattice, seeds, generators, bound, include_witnesses=False):
     seed_coords = sorted({s.coords for s in seeds})
     sq = seeds[0].square() if seeds else None
     div = seeds[0].divisibility() if seeds else None
-    frame = g.canonical_frame(lattice)
-    spin1 = [gen for gen in generators if g.spinor_norm(frame, gen) == 1]
+    spin1 = [gen for gen in generators if g.spinor_norm(gen) == 1]
 
     def sweep(gens):
         dsu = _RefDSU(seed_coords)
@@ -389,7 +387,7 @@ def test_search_cross_check_reduction(H2):
     iso = g.exhaustive_isometry_search(H2, x, y, 2)
     assert iso is not None
     assert iso(x) == y
-    assert g.spinor_norm(g.canonical_frame(H2), iso) in (1, -1)
+    assert g.spinor_norm(iso) in (1, -1)
 
 
 def test_search_precondition(H):

@@ -151,7 +151,7 @@ def test_block_is_the_product_of_its_transvections(op, t, entries, corner_one, r
     m = ((entries[0], entries[1]), (entries[2], entries[3]))
     steps, _ = diagonalize_ops(m, corner_one=corner_one and _gcd4(m) == 1)
     q = _pair_block_isometry(steps)
-    assert g.spinor_norm(g.canonical_frame(_L3E8), q) == 1
+    assert g.spinor_norm(q) == 1
     red.block(steps)
     ref = g.compose(q, ref)
     assert red.certificate_matrix() == ref.matrix
@@ -166,7 +166,7 @@ def _check_reduction(lattice, res, acting_indices=None):
     assert res.canonical.square() == res.input.square()
     assert res.canonical.divisibility() == res.input.divisibility()
     assert res.spinor == 1
-    assert g.spinor_norm(g.canonical_frame(lattice), cert) == 1
+    assert g.spinor_norm(cert) == 1
     if acting_indices is not None:
         outside = set(range(lattice.rank)) - set(acting_indices)
         for i in outside:
@@ -192,7 +192,7 @@ def test_reduce_even_spec_example(H2):
     # spinor-one isometry doing the same thing
     witness = g.exhaustive_isometry_search(H2, x, res.canonical, 2)
     assert witness is not None
-    assert g.spinor_norm(g.canonical_frame(H2), witness) == 1
+    assert g.spinor_norm(witness) == 1
 
 
 def test_reduce_even_divisible(H2):
@@ -376,7 +376,7 @@ def test_stage3_shared_large_prime(e3, start, pair, rest):
     assert res.canonical == expected
     cert = g.verify_isometry(lat, res.certificate.matrix)
     assert intmat.matvec(cert.matrix, x.coords) == expected.coords
-    assert g.spinor_norm(g.canonical_frame(lat), cert) == 1
+    assert g.spinor_norm(cert) == 1
     assert g.fixes_class(cert, e3.k) and g.fixes_class(cert, e3.W)
 
 
@@ -445,9 +445,8 @@ def test_phi_zero_is_identity(e3):
 
 
 def test_phi_certificate_properties(e3):
-    frame = g.canonical_frame(e3.lattice)
     phi = g.phi_isometry(e3, 2)
-    assert g.spinor_norm(frame, phi) == 1
+    assert g.spinor_norm(phi) == 1
     assert g.fixes_class(phi, e3.k)
     assert phi(e3.W) == e3.W + 2 * e3.R
     assert phi(e3.T) == e3.T - 2 * e3.k
@@ -467,7 +466,7 @@ def test_phi_one_parameter_group(e3):
 
 def test_phi_on_k3(k3):
     phi = g.phi_isometry(k3, 4)
-    assert g.spinor_norm(g.canonical_frame(k3.lattice), phi) == 1
+    assert g.spinor_norm(phi) == 1
     assert phi(4 * k3.k + k3.S) == k3.S
 
 
