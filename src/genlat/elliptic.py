@@ -23,8 +23,8 @@ from .errors import (
     ZeroClass,
 )
 from .lattice import (
-    Block, HClass, Lattice, check_ints, check_rank, check_same_lattice, decimal_int, make_lattice,
-    parse_class,
+    Block, HClass, Lattice, check_ints, check_rank, check_same_lattice, check_text, decimal_int,
+    make_lattice, parse_class,
 )
 from .reduction import ReductionResult, reduce_in_elliptic, sphere_reduction
 
@@ -119,7 +119,7 @@ _SURFACE_RE = re.compile(r"^E\((\d+)(?:;(\d+),(\d+))?\)$")
 
 
 def parse_surface(text: str) -> EllipticSurface:
-    m = _SURFACE_RE.match(text.strip())
+    m = _SURFACE_RE.match(check_text(text, "surface spec").strip())
     if not m:
         raise ParseError(f"bad surface spec {text!r}; expected E(n) or E(n;p,q)")
     n, p, q = (decimal_int(g, "surface parameter") if g else 1 for g in m.groups())

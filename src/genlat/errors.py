@@ -37,10 +37,6 @@ class BadTransvectionData(LatticeError):
     """(u, v) violates: u isotropic, u.v = 0, v^2 even."""
 
 
-class DegenerateFrame(LatticeError):
-    """det(P^T G M P) = 0 in the spinor norm: M is not an isometry."""
-
-
 class NeedTwoHyperbolicPlanes(LatticeError):
     """Reduction needs at least two hyperbolic planes in the acting part."""
 

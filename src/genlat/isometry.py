@@ -1,10 +1,13 @@
 """Isometry certificates, generator constructions and exact spinor norms.
 
 Matrices act on coordinate columns; ``compose(A, B)`` applies B first.
-The spinor norm of M is the sign of det(P^T G M P) for the fixed
-integer frame P of canonical_frame, one column e_s + f_s per rank-2
-block, spanning a maximal positive-definite subspace; the orientation
-bookkeeping is done entirely in exact integer arithmetic.
+Every Isometry is checked exactly against M^T G M = G by its
+constructor, so no certificate, whether composed, inverted or built
+outside the package, holds a matrix that fails it.  The spinor norm of
+M is the sign of det(P^T G M P) for the fixed integer frame P of
+canonical_frame, one column e_s + f_s per rank-2 block, spanning a
+maximal positive-definite subspace; the orientation bookkeeping is done
+entirely in exact integer arithmetic.
 Reflections and Eichler transvections are known here only, as terms
 I + sum a b^T that the reduction engine applies directly.
 """
@@ -13,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import intmat
 from .errors import (
     BadTransvectionData,
-    DegenerateFrame,
     NonIntegralReflection,
     NotAnIsometry,
 )
@@ -37,14 +39,41 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class Isometry:
-    """An integer matrix certificate M with M^T G M = G."""
+    """An integer matrix certificate M with M^T G M = G, checked exactly
+    when it is made; the rows are stored as a tuple of tuples.
+
+    The check is exact and deterministic; nothing is sampled.  The
+    difference E = M^T G M - G is symmetric, and its entry
+    E[i][j] = m_i^T G m_j - G[i][j] vanishes identically when the columns
+    m_i and m_j are the unit columns e_i and e_j.  So every entry of E
+    that can be non-zero lies in a row i, or by symmetry a column i,
+    whose column m_i is not e_i.  Those rows are computed in full, as
+    (G m_i)^T M, and compared with G[i]; the cost follows the columns
+    the certificate moves, not n^2.  A non-square shape or a failed
+    check is NotAnIsometry, naming the first wrong entry.
+    """
 
     lattice: Lattice
     matrix: intmat.Matrix
 
-    @cached_property
-    def _columns(self) -> intmat.Matrix:
-        return intmat.transpose(self.matrix)
+    def __post_init__(self):
+        m = _square_rows(self.lattice, self.matrix)
+        cols = intmat.transpose(m)
+        moved = [i for i, col in enumerate(cols) if not _is_unit(col, i)]
+        rows = intmat.matmul([self.lattice.gram_apply(cols[i]) for i in moved], m)
+        g = self.lattice.gram
+        wrong = []
+        for i, row in zip(moved, rows):
+            if row != g[i]:
+                j = next(j for j in range(len(row)) if row[j] != g[i][j])
+                # the first wrong entry in row-major order is the first of
+                # (i, j) and its mirror (j, i) over the moved rows
+                wrong.append((min((i, j), (j, i)), row[j], g[i][j]))
+        if wrong:
+            (i, j), got, want = min(wrong)
+            raise NotAnIsometry(f"(M^T G M)[{i}][{j}] = {got}, expected {want}", entry=(i, j))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_columns", cols)
 
     def apply(self, coords) -> intmat.Vector:
         """M x, computed as x^T M^T over the support of x."""
@@ -70,57 +99,22 @@ class Isometry:
         return f"Isometry({self.lattice.spec!r}, rank={self.lattice.rank})"
 
 
-def identity_isometry(lattice: Lattice) -> Isometry:
-    return Isometry(lattice, intmat.identity(lattice.rank))
-
-
-def verify_isometry(lattice: Lattice, matrix) -> Isometry:
-    """Return the certificate iff M^T G M = G holds exactly.
-
-    The check is exact and deterministic; nothing is sampled.  The
-    difference E = M^T G M - G is symmetric, and its entry
-    E[i][j] = m_i^T G m_j - G[i][j] vanishes identically when the columns
-    m_i and m_j are the unit columns e_i and e_j.  So every entry of E
-    that can be non-zero lies in a row i, or by symmetry a column i,
-    whose column m_i is not e_i.  Those rows are computed in full, as
-    (G m_i)^T M, and compared with G[i]; the cost follows the columns
-    the certificate moves, not n^2.
-    """
+def _square_rows(lattice: Lattice, matrix) -> intmat.Matrix:
+    """The rows of matrix as a tuple of tuples; NotAnIsometry unless n x n."""
     m = tuple(map(tuple, matrix))
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise NotAnIsometry(f"matrix must be {n}x{n}")
+    return m
+
+
+def verify_isometry(lattice: Lattice, matrix) -> Isometry:
+    """The certificate for rows from outside the package: NotAnIsometry unless
+    they are an n x n matrix of exact ints passing the constructor's check."""
+    m = _square_rows(lattice, matrix)
     for row in m:
         check_ints(row, NotAnIsometry, "the matrix")
-    return _checked_isometry(lattice, m)
-
-
-def _checked_isometry(lattice: Lattice, m: intmat.Matrix) -> Isometry:
-    """The exact check of verify_isometry, for an n x n tuple of int rows.
-
-    Certificates built in this package come here directly: they need no
-    entry conversion or shape check.
-    """
-    n = lattice.rank
-    cols = intmat.transpose(m)
-    moved = [i for i, col in enumerate(cols) if not _is_unit(col, i)]
-    rows = intmat.matmul([lattice.gram_apply(cols[i]) for i in moved], m)
-    g = lattice.gram
-    wrong = []
-    for i, row in zip(moved, rows):
-        if row != g[i]:
-            j = next(j for j in range(n) if row[j] != g[i][j])
-            # the first wrong entry in row-major order is the first of
-            # (i, j) and its mirror (j, i) over the moved rows
-            wrong.append((min((i, j), (j, i)), row[j], g[i][j]))
-    if wrong:
-        (i, j), got, want = min(wrong)
-        raise NotAnIsometry(
-            f"(M^T G M)[{i}][{j}] = {got}, expected {want}", entry=(i, j)
-        )
-    iso = Isometry(lattice, m)
-    iso.__dict__["_columns"] = cols  # seeds the cached_property
-    return iso
+    return Isometry(lattice, m)
 
 
 def _is_unit(col, i: int) -> bool:
@@ -143,7 +137,7 @@ def reflection(lattice: Lattice, v: HClass) -> Isometry:
     """The reflection x -> x - 2(x.v)/v^2 * v, when it is integral."""
     check_same_lattice(lattice, v.lattice)
     m = intmat.identity_plus(lattice.rank, _reflection_terms(lattice, v.coords))
-    return _checked_isometry(lattice, m)
+    return Isometry(lattice, m)
 
 
 def _reflection_terms(lattice: Lattice, v) -> list:
@@ -168,7 +162,7 @@ def eichler_transvection(lattice: Lattice, u: HClass, v: HClass) -> Isometry:
     for y in (u, v):
         check_same_lattice(lattice, y.lattice)
     m = intmat.identity_plus(lattice.rank, _transvection_terms(lattice, u.coords, v.coords))
-    return _checked_isometry(lattice, m)
+    return Isometry(lattice, m)
 
 
 def _transvection_terms(lattice: Lattice, u, v) -> list:
@@ -189,15 +183,11 @@ def _transvection_terms(lattice: Lattice, u, v) -> list:
 
 def minus_identity_on_blocks(lattice: Lattice, block_indices) -> Isometry:
     """-id on the chosen blocks, identity elsewhere."""
-    flip = set()
+    m = intmat.identity_rows(lattice.rank)
     for b in as_tuple(block_indices, "block indices"):
-        flip.update(lattice.block_range(b))
-    n = lattice.rank
-    m = tuple(
-        tuple((-1 if r in flip else 1) * int(i == r) for i in range(n))
-        for r in range(n)
-    )
-    return _checked_isometry(lattice, m)
+        for r in lattice.block_range(b):
+            m[r][r] = -1
+    return Isometry(lattice, m)
 
 
 # -- spinor norm --------------------------------------------------------------
@@ -240,9 +230,7 @@ def spinor_norm(m: Isometry) -> int:
         if col[b] <= 0 or col.count(0) < len(col) - 1:
             kept[b] = col
     det = intmat.det([[col[a] for a in kept] for col in kept.values()])
-    if det == 0:
-        raise DegenerateFrame("det(P^T G M P) = 0; input is not an isometry")
-    return 1 if det > 0 else -1
+    return 1 if det > 0 else -1  # det B != 0: M is an isometry
 
 
 class Realizability(Enum):

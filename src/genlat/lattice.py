@@ -216,7 +216,7 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
     Default basis names are e1,f1,... for rank-2 blocks (in order) and
     x{j}_1..x{j}_8 for the j-th E8 block.
     """
-    blocks = tuple(blocks)
+    blocks = as_tuple(blocks, "blocks")
     if not blocks:
         raise BadParameters("a lattice needs at least one block")
     if not all(isinstance(b, Block) for b in blocks):
@@ -236,11 +236,12 @@ def make_lattice(blocks, basis_names=None) -> Lattice:
                 names.extend((f"e{n_pairs}", f"f{n_pairs}"))
         basis_names = tuple(names)
     else:
-        basis_names = tuple(str(n) for n in basis_names)
-        if len(basis_names) != rank:
-            raise BadParameters("basis_names length must equal the rank")
-        if len(set(basis_names)) != rank:
-            raise BadParameters("basis names must be distinct")
+        names = as_tuple(basis_names, "basis_names")
+        if isinstance(basis_names, str) or not all(isinstance(n, str) for n in names):
+            raise BadParameters("basis_names must be a sequence of strings")
+        if len(names) != rank or len(set(names)) != rank:
+            raise BadParameters("basis_names must be distinct, one per basis vector")
+        basis_names = names
     return Lattice(blocks, basis_names)
 
 
@@ -341,10 +342,16 @@ _SPEC_TOKEN = re.compile(r"^(\d*)(H'|H|E8-)$")
 _TOKEN_TO_BLOCK = {b.token: b for b in Block}
 
 
+def check_text(text, what: str) -> str:
+    """text, or ParseError unless it is a string."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what} must be a string, got {text!r}")
+    return text
+
+
 def parse_lattice_spec(text: str) -> tuple[Block, ...]:
     """Parse a spec such as "H',2H,3E8-" into a block tuple."""
-    if not isinstance(text, str):
-        raise ParseError(f"lattice spec must be a string, got {text!r}")
+    check_text(text, "lattice spec")
     blocks: list[Block] = []
     rank = 0
     for raw in text.split(","):
@@ -387,7 +394,7 @@ def lattice_from_spec(text: str) -> Lattice:
 
 def parse_class(lattice: Lattice, text: str, aliases: dict[str, str] | None = None) -> HClass:
     """Parse a dense "1,0,-2,..." or sparse "k=4,e1=2" class string."""
-    text = text.strip()
+    text = check_text(text, "class string").strip()
     if not text:
         raise ParseError("empty class string")
     if "=" in text:
@@ -481,11 +488,15 @@ def lattice_from_json_dict(doc: dict) -> Lattice:
         isinstance(t, str) and t in _TOKEN_TO_BLOCK for t in tokens
     ):
         raise ParseError(f"bad block list {tokens!r}")
-    names = doc.get("basis_names")
-    if names is not None and not isinstance(names, list):
-        raise ParseError("basis_names must be a JSON array")
     blocks = [_TOKEN_TO_BLOCK[t] for t in tokens]
-    lat = make_lattice(blocks, tuple(names) if names else None)
+    names = doc.get("basis_names")
+    if "basis_names" in doc and not (
+        isinstance(names, list)
+        and all(isinstance(n, str) for n in names)
+        and len(set(names)) == len(names) == sum(b.rank for b in blocks)
+    ):
+        raise ParseError("basis_names must be distinct strings, one per basis vector")
+    lat = make_lattice(blocks, names)
     if "gram" in doc:
         given = json_int_rows(doc["gram"], "gram")
         if tuple(map(tuple, given)) != lat.gram:

@@ -18,14 +18,8 @@ from operator import add, mul
 
 from . import intmat
 from .errors import BudgetExceeded, InvariantViolation, LatticeError, PreconditionFailed
-from .isometry import (
-    Isometry,
-    eichler_transvection,
-    reflection,
-    spinor_norm,
-    verify_isometry,
-)
-from .lattice import HClass, Lattice, check_ints, check_same_lattice
+from .isometry import Isometry, eichler_transvection, reflection, spinor_norm
+from .lattice import HClass, Lattice, as_tuple, check_ints, check_same_lattice
 
 DEFAULT_BUDGET = 10**6
 
@@ -198,7 +192,7 @@ def orbit_bfs(
     seed must have, or else those the seeds share (None with no seeds).
     """
     check_ints((bound,), PreconditionFailed, "bound")
-    seeds = list(seeds)
+    seeds = as_tuple(seeds, "seeds")
     for s in seeds:
         check_same_lattice(lattice, s.lattice)
     seed_coords = sorted({s.coords for s in seeds})
@@ -208,9 +202,9 @@ def orbit_bfs(
     if any(s.square() != square or s.divisibility() != divisibility for s in seeds):
         raise PreconditionFailed("seeds must share the report's square and divisibility")
     gens = []
-    for gen in generators:
+    for gen in as_tuple(generators, "generators"):
         check_same_lattice(lattice, gen.lattice)
-        gens.append((gen.matrix, spinor_norm(gen) == 1))
+        gens.append((gen, spinor_norm(gen) == 1))
 
     # an image outside the bound joins nothing, even when it is a seed
     members = {x for x in seed_coords if max(map(abs, x), default=0) <= bound}
@@ -218,10 +212,10 @@ def orbit_bfs(
     cols = list(zip(*seed_coords))
     unit = intmat.identity(lattice.rank)
     full, spin = _DSU(seed_coords), _DSU(seed_coords)
-    # spinor-+1 steps (matrix, image) onto other seeds, in generator order
+    # spinor-+1 steps (generator, image) onto other seeds, in generator order
     steps = {x: [] for x in seed_coords} if include_witnesses else None
     applied = 0
-    for m, plus in gens:
+    for gen, plus in gens:
         if progress:
             upto = min(applied + len(seed_coords), max_states)
             for k in range(applied // 50000 * 50000 + 50000, upto + 1, 50000):
@@ -229,13 +223,13 @@ def orbit_bfs(
         applied += len(seed_coords)
         if applied > max_states:
             raise BudgetExceeded(f"orbit sweep exceeded {max_states} generator applications")
-        rows = [c if row == e else _row_images(row, cols) for row, e, c in zip(m, unit, cols)]
+        rows = [c if r == e else _row_images(r, cols) for r, e, c in zip(gen.matrix, unit, cols)]
         for x, y in zip(seed_coords, zip(*rows)):
             if y not in members:
                 if max(map(abs, y), default=0) <= bound:
                     raise InvariantViolation("generator left the seed set")
                 if plus and steps is not None and y in outside:
-                    steps[x].append((m, y))
+                    steps[x].append((gen, y))
             elif y != x:
                 if full.count > 1:
                     full.union(x, y)
@@ -243,7 +237,7 @@ def orbit_bfs(
                     if spin.count > 1:
                         spin.union(x, y)
                     if steps is not None:
-                        steps[x].append((m, y))
+                        steps[x].append((gen, y))
     witnesses = None
     if include_witnesses:
         witnesses = _witnesses(lattice, seed_coords, spin, steps)
@@ -263,34 +257,37 @@ def _witnesses(lattice, seed_coords, dsu, steps):
     """(vector, canonical, certificate) per seed, from spinor-1 paths.
 
     The canonical member of each component is its lexicographic
-    minimum; certificates come from composing generator matrices along
-    a breadth-first tree rooted there, then inverting.  The tree walks
-    the recorded steps of each seed, so no generator is applied again,
-    and stops once it spans the component.  It follows forward steps
-    only, so it spans every component only when the generator set is
-    closed under inverses; otherwise PreconditionFailed.
+    minimum; certificates come from a breadth-first tree rooted there,
+    each edge x -> y by a generator g giving cert[y] = cert[x] g^-1.
+    Each generator is inverted once, and each certificate checked once.
+    The tree walks the recorded steps of each seed, so no generator is
+    applied again, and stops once it spans the component.  It follows
+    forward steps only, so it spans every component only when the
+    generator set is closed under inverses; otherwise PreconditionFailed.
     """
     comps: dict[intmat.Vector, list[intmat.Vector]] = {}
     for x in seed_coords:
         comps.setdefault(dsu.find(x), []).append(x)
+    inverses = {}  # id of a generator -> its inverse matrix
     out = []
     for members in comps.values():
         root = min(members)
-        reach = {root: intmat.identity(lattice.rank)}
+        to_root = {root: intmat.identity(lattice.rank)}  # matrices mapping x to root
         queue = deque([root])
         left = set(members) - {root}
         while queue and left:
             x = queue.popleft()
-            for m, y in steps[x]:
-                if y not in reach:
-                    reach[y] = intmat.matmul(m, reach[x])
+            for gen, y in steps[x]:
+                if y not in to_root:
+                    if id(gen) not in inverses:
+                        inverses[id(gen)] = gen.inverse().matrix
+                    to_root[y] = intmat.matmul(to_root[x], inverses[id(gen)])
                     queue.append(y)
                     left.discard(y)
         if left:
             raise PreconditionFailed("witnesses need a generator set closed under inverses")
         for x in members:
-            m = reach[x]  # maps root to x
-            cert = verify_isometry(lattice, m).inverse()
+            cert = Isometry(lattice, to_root[x])
             if intmat.matvec(cert.matrix, x) != root:
                 raise InvariantViolation("witness certificate misses its root")
             out.append((x, root, cert))
@@ -391,7 +388,7 @@ def exhaustive_isometry_search(
     matrix = dfs(0, (0,) * rank)
     if matrix is None:
         return None
-    iso = verify_isometry(lattice, matrix)
+    iso = Isometry(lattice, matrix)
     if intmat.matvec(iso.matrix, xc) != yc:
         raise InvariantViolation("search result does not map x to y")
     return iso

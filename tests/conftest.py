@@ -86,7 +86,7 @@ def generator_pool(lattice):
 
 def random_isometry(lattice, rng: random.Random, pool=None, steps=4):
     pool = pool if pool is not None else generator_pool(lattice)
-    iso = g.identity_isometry(lattice)
+    iso = g.Isometry(lattice, g.intmat.identity(lattice.rank))
     for _ in range(steps):
         iso = g.compose(rng.choice(pool), iso)
     return iso

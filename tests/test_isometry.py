@@ -53,6 +53,29 @@ def test_verify_rejects_with_offending_entry(H2):
     assert exc.value.entry is not None
 
 
+def test_constructor_refuses_doubling_r_on_e3(e3):
+    # R -> 2R keeps k and W fixed and has det(P^T G M P) > 0, so the
+    # certificate would pass as realizable if it were not checked
+    lat = e3.lattice
+    m = [list(row) for row in intmat.identity(lat.rank)]
+    m[2][2] = 2
+    with pytest.raises(g.NotAnIsometry, match=r"^\(M\^T G M\)\[2\]\[3\] = 2, expected 1$") as exc:
+        g.Isometry(lat, m)
+    assert exc.value.entry == (2, 3)
+
+
+def test_constructor_refuses_a_non_square_shape(H2):
+    for m in ([[1, 0], [0, 1]], [[1, 0, 0, 0]] * 3 + [[0, 0, 0]]):
+        with pytest.raises(g.NotAnIsometry, match="^matrix must be 4x4$"):
+            g.Isometry(H2, m)
+
+
+def test_constructor_stores_tuple_rows(H2):
+    iso = g.Isometry(H2, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert iso.matrix == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert iso == g.verify_isometry(H2, iso.matrix)
+
+
 def test_verify_rejects_wrong_size(H2):
     with pytest.raises(g.NotAnIsometry):
         g.verify_isometry(H2, [[1, 0], [0, 1]])
@@ -90,7 +113,7 @@ def test_random_generator_products_verify(H2E8):
 
 def test_compose_identity_and_inverse(H2):
     rng = random.Random(7)
-    ident = g.identity_isometry(H2)
+    ident = g.Isometry(H2, intmat.identity(H2.rank))
     for _ in range(10):
         a = random_isometry(H2, rng)
         assert g.compose(ident, a).matrix == a.matrix
@@ -112,7 +135,7 @@ def test_inverse_of_generator_words_and_reduction_certificates(spec):
     pool = generator_pool(lat) or g.default_generators(lat)
     rng = random.Random(spec)
     words = pool + [random_isometry(lat, rng, pool, steps=rng.randint(1, 6)) for _ in range(8)]
-    ident = g.identity_isometry(lat).matrix
+    ident = intmat.identity(lat.rank)
     for a in words + certs:
         inv = a.inverse()
         assert g.compose(a, inv).matrix == ident
@@ -138,7 +161,7 @@ def test_compose_order_applies_right_first(H2):
 
 def test_compose_lattice_mismatch(H, H2):
     with pytest.raises(g.LatticeMismatch):
-        g.compose(g.identity_isometry(H), g.identity_isometry(H2))
+        g.compose(g.Isometry(H, intmat.identity(2)), g.Isometry(H2, intmat.identity(4)))
 
 
 # -- reflection -------------------------------------------------------------------
@@ -209,7 +232,7 @@ def test_transvection_odd_square_v_rejected(e3):
 # -- spinor norm ---------------------------------------------------------------------
 
 def test_spinor_norm_fixtures(H2):
-    assert g.spinor_norm(g.identity_isometry(H2)) == 1
+    assert g.spinor_norm(g.Isometry(H2, intmat.identity(H2.rank))) == 1
     assert g.spinor_norm(g.minus_identity_on_blocks(H2, [0])) == -1
     assert g.spinor_norm(g.minus_identity_on_blocks(H2, [0, 1])) == 1
 
@@ -284,16 +307,17 @@ def test_minus_identity_refuses_a_bad_block_index(e3, block):
         g.minus_identity_on_blocks(e3.lattice, [block])
 
 
-def test_degenerate_frame_on_corrupted_input(H2):
-    zero = g.Isometry(H2, tuple(tuple(0 for _ in range(4)) for _ in range(4)))
-    with pytest.raises(g.DegenerateFrame):
-        g.spinor_norm(zero)
+def test_constructor_refuses_a_zero_matrix(H2):
+    # so spinor_norm is never handed a matrix with det(P^T G M P) = 0
+    with pytest.raises(g.NotAnIsometry, match=r"^\(M\^T G M\)\[0\]\[1\] = 0, expected 1$") as exc:
+        g.Isometry(H2, tuple(tuple(0 for _ in range(4)) for _ in range(4)))
+    assert exc.value.entry == (0, 1)
 
 
 # -- fixes_class / realizability ------------------------------------------------------
 
 def test_fixes_class(H2, e3):
-    ident = g.identity_isometry(H2)
+    ident = g.Isometry(H2, intmat.identity(H2.rank))
     assert g.fixes_class(ident, H2.hclass([1, 2, 3, 4]))
     neg = g.minus_identity_on_blocks(H2, [0, 1])
     assert not g.fixes_class(neg, H2.basis_class("e1"))

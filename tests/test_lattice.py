@@ -272,8 +272,8 @@ def _theirs(x):
     return _OTHER.hclass(x.coords)
 
 
-_ID = g.identity_isometry(_E3.lattice)
-_ID_OTHER = g.identity_isometry(_OTHER)
+_ID = g.Isometry(_E3.lattice, intmat.identity(_E3.lattice.rank))
+_ID_OTHER = g.Isometry(_OTHER, intmat.identity(_OTHER.rank))
 _MISMATCHED = {
     "HClass.dot": lambda: _E3.R.dot(_theirs(_E3.T)),
     "HClass.__add__": lambda: _E3.R + _theirs(_E3.T),
@@ -363,6 +363,7 @@ def test_non_sequence_coordinates_are_bad_parameters():
 _H2 = g.lattice_from_spec("2H")
 _H3 = g.lattice_from_spec("3H")
 _X3 = _H3.hclass((1, 1, 0, 0, 0, 0))
+_ID3 = g.Isometry(_H3, intmat.identity(6))
 _NON_INTEGER_ARGUMENTS = {
     "nucleus_min_genus float": (lambda: g.nucleus_min_genus(1.5, 1), g.PreconditionFailed),
     "nucleus_min_genus str": (lambda: g.nucleus_min_genus("a", 1), g.PreconditionFailed),
@@ -379,10 +380,23 @@ _NON_INTEGER_ARGUMENTS = {
     "exhaustive_isometry_search": (
         lambda: g.exhaustive_isometry_search(_H3, _X3, _X3, 1.5), g.PreconditionFailed
     ),
-    "orbit_bfs bound": (
-        lambda: g.orbit_bfs(_H3, [_X3], [g.identity_isometry(_H3)], 1.5), g.PreconditionFailed
-    ),
+    "orbit_bfs bound": (lambda: g.orbit_bfs(_H3, [_X3], [_ID3], 1.5), g.PreconditionFailed),
     "basis_class bool": (lambda: _H3.basis_class(True), g.BadParameters),
+    "parse_class int": (lambda: g.parse_class(_H3, 5), g.ParseError),
+    "parse_surface int": (lambda: g.parse_surface(5), g.ParseError),
+    "EllipticSurface.parse_class None": (lambda: _E3.parse_class(None), g.ParseError),
+    "make_lattice blocks": (lambda: g.make_lattice(5), g.BadParameters),
+    "make_lattice basis_names int": (
+        lambda: g.make_lattice(_H3.blocks, basis_names=5), g.BadParameters
+    ),
+    "make_lattice basis_names str": (
+        lambda: g.make_lattice([g.Block.HYPERBOLIC], basis_names="ab"), g.BadParameters
+    ),
+    "make_lattice basis_names non-str": (
+        lambda: g.make_lattice([g.Block.HYPERBOLIC], basis_names=[1, 2]), g.BadParameters
+    ),
+    "orbit_bfs seeds": (lambda: g.orbit_bfs(_H3, 5, [_ID3], 1), g.BadParameters),
+    "orbit_bfs generators": (lambda: g.orbit_bfs(_H3, [_X3], 5, 1), g.BadParameters),
 }
 
 
@@ -436,6 +450,13 @@ def test_hclass_json_round_trip(H2):
         {"blocks": ["H"], "gram": [[0, "1"], [1, 0]]},
         {"blocks": ["H"], "gram": "[[0,1],[1,0]]"},
         ["H"],
+        {"blocks": ["H"], "basis_names": [None, "x"]},
+        {"blocks": ["H"], "basis_names": []},
+        {"blocks": ["H"], "basis_names": ["a"]},
+        {"blocks": ["H"], "basis_names": ["a", "b", "c"]},
+        {"blocks": ["H"], "basis_names": ["a", "a"]},
+        {"blocks": ["H"], "basis_names": "ab"},
+        {"blocks": ["H"], "basis_names": None},
     ],
 )
 def test_lattice_json_malformed_is_parse_error(doc):

@@ -516,7 +516,7 @@ def _composed_reference(surface, x, sphere):
     a = x.coords[0]
     b = x - a * surface.k
     if b.is_zero or (sphere and x == surface.S):
-        return g.identity_isometry(lattice), x
+        return g.Isometry(lattice, intmat.identity(lattice.rank)), x
     inner = g.reduce_even(lattice, b, 1, range(1, len(lattice.blocks))).certificate
     flip = g.reflection(lattice, surface.R - surface.T)
     if sphere:
@@ -576,13 +576,13 @@ def test_elliptic_certificates_match_the_composed_reference(spec):
 
 def test_each_reduction_is_checked_exactly_once(e3, H2E8, monkeypatch):
     calls = []
-    checked = reduction._checked_isometry
+    checked = g.Isometry.__post_init__
 
-    def spy(lattice, m):
-        calls.append(m)
-        return checked(lattice, m)
+    def spy(iso):
+        calls.append(iso)
+        checked(iso)
 
-    monkeypatch.setattr(reduction, "_checked_isometry", spy)
+    monkeypatch.setattr(g.Isometry, "__post_init__", spy)
     cases = [
         lambda: g.reduce_even(H2E8, H2E8.hclass([3, 5, 2, -1] + [0] * 8), 0),
         lambda: g.reduce_in_elliptic(e3, e3.parse_class("k=3,e2=1,f2=2")),  # B^2 > 0
@@ -594,7 +594,7 @@ def test_each_reduction_is_checked_exactly_once(e3, H2E8, monkeypatch):
     for case in cases:
         calls.clear()
         res = case()
-        assert len(calls) == 1 and calls[0] is res.certificate.matrix
+        assert len(calls) == 1 and calls[0] is res.certificate
 
 
 # -- JSON round trip ----------------------------------------------------------------------
