@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import io
 import json
@@ -315,6 +316,147 @@ def test_output_integer_past_the_digit_limit_exits_2(json_flag):
     )
     _assert_typed_error(code, out, err)
     assert err.count("\n") == 1
+
+
+# -- golden panel ----------------------------------------------------------------
+# exit code, stdout and stderr of each verb in text and --json mode, pinned
+# byte for byte; a stdout of 512 characters or more (the JSON of a reduction
+# certificate) is pinned by its SHA-256 digest
+
+_GOLDEN_MATRICES = {
+    "id4": [[int(i == j) for j in range(4)] for i in range(4)],  # spinor +1 on 2H
+    "flip4": [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # spinor -1 on 2H
+    "swap": [[0, 1], [1, 0]],  # an isometry of H
+    "shear": [[1, 1], [0, 1]],  # not one
+}
+_NEG_NOTE = (
+    "negative square: the adjunction bound constrains only surfaces of positive genus, "
+    "so genus 0 is not excluded"
+)
+_NOT_AN_ISOMETRY = (2, "", "error: (M^T G M)[1][1] = 2, expected 0\n")
+_OVER_BUDGET = (3, "", "error: enumeration of 5^4 vectors exceeds the budget\n")
+_NO_SURFACE = (2, "", "error: a surface spec such as E(2;2,3) is required\n")
+_GOLDEN = {
+    "info-positional": (
+        ["info", "E(2;2,3)"],
+        (0, "surface: E(2;2,3)\nn: 2\np: 2\nq: 3\nd: 7\nspin: false\nl: 2\nm: 2\n"
+            "lattice: H',2H,2E8-\nrank: 22\nsignature: (3,19)\n"
+            "basic classes (8): -7k -5k -3k -1k 1k 3k 5k 7k\n", ""),
+        (0, '{"basic_classes":[-7,-5,-3,-1,1,3,5,7],"d":7,"l":2,"lattice":"H\',2H,2E8-",'
+            '"m":2,"n":2,"p":2,"q":3,"rank":22,"sig_neg":19,"sig_pos":3,"spin":false,'
+            '"surface":"E(2;2,3)"}\n', ""),
+    ),
+    "info-flag": (
+        ["info", "--surface", "E(3)"],
+        (0, "surface: E(3)\nn: 3\np: 1\nq: 1\nd: 1\nspin: false\nl: 4\nm: 3\n"
+            "lattice: H',4H,3E8-\nrank: 34\nsignature: (5,29)\nbasic classes (2): -1k 1k\n", ""),
+        (0, '{"basic_classes":[-1,1],"d":1,"l":4,"lattice":"H\',4H,3E8-","m":3,"n":3,'
+            '"p":1,"q":1,"rank":34,"sig_neg":29,"sig_pos":5,"spin":false,"surface":"E(3)"}\n', ""),
+    ),
+    "basic": (
+        ["basic", "--surface", "E(3)"],
+        (0, "basic classes (2): -1k 1k\n", ""),
+        (0, '{"basic_classes":[-1,1],"surface":"E(3)"}\n', ""),
+    ),
+    "class": (
+        ["class", "--surface", "E(3)", "--class", "k=2,e1=1"],
+        (0, "class: k=2,e1=1\nsquare: 0\ndivisibility: 1\ncharacteristic: false\n"
+            "k.A: 0\nK.A: 0\n", ""),
+        (0, '{"K_dot":0,"characteristic":false,"coords":[2,0,1' + ",0" * 31 + '],'
+            '"divisibility":1,"k_dot":0,"square":0}\n', ""),
+    ),
+    "genus-THM_MAIN_EN": (
+        ["genus", "--surface", "E(3)", "--class", "k=4,e1=2,f1=2"],
+        (0, "status: EXACT\nrule: THM_MAIN_EN\nlower_bound: 5\nrealized: 5\n", ""),
+        (0, '{"certificate":null,"lower_bound":5,"negative_square_note":null,"realized":5,'
+            '"rule":"THM_MAIN_EN","status":"EXACT"}\n', ""),
+    ),
+    "genus-COR_ORTH_KV": (
+        ["genus", "--surface", "E(2;2,3)", "--class", "e1=1,f1=1"],
+        (0, "status: EXACT\nrule: COR_ORTH_KV\nlower_bound: 2\nrealized: 2\n"
+            "certificate: canonical=e1=1,f1=1 spinor=+1 fixes_k=true fixes_W=true\n", ""),
+        (0, "sha256:d12675a9be89642cf336d27489bbefd7df61f7f6bddf0ef28b9a0c2946f1892e", ""),
+    ),
+    "genus-PROP_MINUS2": (
+        ["genus", "--surface", "E(2;2,3)", "--class", "e1=1,f1=-1"],
+        (0, "status: EXACT\nrule: PROP_MINUS2\nlower_bound: 0\nrealized: 0\n"
+            "certificate: canonical=e1=-1,f1=1 spinor=+1 fixes_k=true fixes_W=true\n", ""),
+        (0, "sha256:567bf19ddf6636ca97d625cd5252cbae79e91d228d21fd9059e9f59ef1fe1383", ""),
+    ),
+    "genus-ADJUNCTION_ONLY": (
+        ["genus", "--surface", "E(3)", "--class", "e1=1,f1=-2"],
+        (0, "status: LOWER_BOUND_ONLY\nrule: ADJUNCTION_ONLY\nlower_bound: 0\nrealized: -\n"
+            f"note: {_NEG_NOTE}\n", ""),
+        (0, f'{{"certificate":null,"lower_bound":0,"negative_square_note":"{_NEG_NOTE}",'
+            '"realized":null,"rule":"ADJUNCTION_ONLY","status":"LOWER_BOUND_ONLY"}\n', ""),
+    ),
+    "reduce": (
+        ["reduce", "--surface", "E(2)", "--class", "e1=1,f1=2,e2=1,f2=-1"],
+        (0, "input: e1=1,f1=2,e2=1,f2=-1\ncanonical: e1=1,f1=1\nspinor: +1\n"
+            "fixes_k: true\nfixes_W: true\n", ""),
+        (0, "sha256:a3ca2340161507427ccebe2967eb583f4b5eba9a564041356d2212e1f7e26d0a", ""),
+    ),
+    "spinor-plus": (
+        ["spinor", "--lattice", "2H", "--matrix", "{tmp}/id4.json"],
+        (0, "+1\n", ""),
+        (0, '{"spinor":1}\n', ""),
+    ),
+    "spinor-minus": (
+        ["spinor", "--lattice", "2H", "--matrix", "{tmp}/flip4.json"],
+        (0, "-1\n", ""),
+        (0, '{"spinor":-1}\n', ""),
+    ),
+    "verify-ok": (
+        ["verify", "--lattice", "H", "--matrix", "{tmp}/swap.json"],
+        (0, "ok\n", ""),
+        (0, '{"ok":true}\n', ""),
+    ),
+    "verify-NotAnIsometry": (
+        ["verify", "--lattice", "H", "--matrix", "{tmp}/shear.json"],
+        _NOT_AN_ISOMETRY,
+        _NOT_AN_ISOMETRY,
+    ),
+    "oracle": (
+        ["oracle", "orbit", "--lattice", "2H", "--square", "0", "--bound", "1"],
+        (0, "lattice: 2H\nsquare: 0\ndivisibility: 1\ncoord_bound: 1\nvectors_found: 32\n"
+            "orbit_count_full: 1\norbit_count_spinor1: 1\n", ""),
+        (0, '{"coord_bound":1,"divisibility":1,"lattice":"2H","orbit_count_full":1,'
+            '"orbit_count_spinor1":1,"square":0,"vectors_found":32,"witnesses":null}\n', ""),
+    ),
+    "oracle-witnesses": (
+        ["oracle", "orbit", "--lattice", "H", "--square", "0", "--bound", "1", "--witnesses"],
+        (0, "lattice: H\nsquare: 0\ndivisibility: 1\ncoord_bound: 1\nvectors_found: 4\n"
+            "orbit_count_full: 1\norbit_count_spinor1: 2\nwitnesses: 4\n", ""),
+        (0, '{"coord_bound":1,"divisibility":1,"lattice":"H","orbit_count_full":1,'
+            '"orbit_count_spinor1":2,"square":0,"vectors_found":4,"witnesses":['
+            '{"canonical":[-1,0],"certificate":[[1,0],[0,1]],"vector":[-1,0]},'
+            '{"canonical":[-1,0],"certificate":[[0,1],[1,0]],"vector":[0,-1]},'
+            '{"canonical":[0,1],"certificate":[[1,0],[0,1]],"vector":[0,1]},'
+            '{"canonical":[0,1],"certificate":[[0,1],[1,0]],"vector":[1,0]}]}\n', ""),
+    ),
+    "oracle-budget": (
+        ["oracle", "orbit", "--lattice", "2H", "--square", "0", "--bound", "2",
+         "--budget", "10"],
+        _OVER_BUDGET,
+        _OVER_BUDGET,
+    ),
+    "missing-surface": (["info"], _NO_SURFACE, _NO_SURFACE),
+}
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_cli_output_is_pinned(tmp_path, case, mode):
+    for name, rows in _GOLDEN_MATRICES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(rows))
+    argv, text, as_json = _GOLDEN[case]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = call(argv + (["--json"] if mode == "json" else []))
+    if len(out) >= 512:
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (code, out, err.replace(str(tmp_path), "{tmp}")) == (
+        text if mode == "text" else as_json
+    )
 
 
 @pytest.mark.parametrize(
