@@ -8,7 +8,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from .elliptic import (
 )
 from .errors import BudgetExceeded, LatticeError, ParseError
 from .isometry import spinor_norm, verify_isometry
-from .lattice import HClass, Lattice, json_int_rows, lattice_from_spec
+from .lattice import Lattice, json_int_rows, lattice_from_spec
 from .oracle import DEFAULT_BUDGET, default_generators, enumerate_vectors, orbit_bfs
 from .reduction import reduce_in_elliptic
 
@@ -41,60 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="genlat", description=__doc__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        return p
-
-    p = add("info", "surface invariants and basic classes")
-    p.add_argument("surface_pos", nargs="?", metavar="SURFACE")
-    p.add_argument("--surface")
-
-    p = add("basic", "basic classes of a surface")
-    p.add_argument("--surface", required=True)
-
-    p = add("class", "square, divisibility and pairings of a class")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--class", dest="class_input", required=True)
-
-    p = add("genus", "minimal-genus verdict for a class")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--class", dest="class_input", required=True)
-
-    p = add("reduce", "reduce a class to its canonical representative")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--class", dest="class_input", required=True)
-
-    p = add("spinor", "spinor norm of a matrix certificate")
-    p.add_argument("--surface")
-    p.add_argument("--lattice")
-    p.add_argument("--matrix", required=True)
-
-    p = add("verify", "check a matrix certificate")
-    p.add_argument("--surface")
-    p.add_argument("--lattice")
-    p.add_argument("--matrix", required=True)
-
-    p = add("oracle", "brute-force orbit report")
-    p.add_argument("mode", choices=["orbit"])
-    p.add_argument("--surface")
-    p.add_argument("--lattice")
-    p.add_argument("--square", type=int, required=True)
-    p.add_argument("--div", type=int, default=1)
-    p.add_argument("--bound", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--witnesses", action="store_true")
-    return parser
-
-
-def _emit_json(doc, out) -> None:
-    out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -110,11 +55,11 @@ def _load_surface(args) -> EllipticSurface:
 
 
 def _load_lattice(args) -> Lattice:
-    if getattr(args, "surface", None) and getattr(args, "lattice", None):
+    if args.surface and args.lattice:
         raise ParseError("give either --surface or --lattice, not both")
-    if getattr(args, "surface", None):
+    if args.surface:
         return parse_surface(args.surface).lattice
-    if getattr(args, "lattice", None):
+    if args.lattice:
         return lattice_from_spec(args.lattice)
     raise ParseError("either --surface or --lattice is required")
 
@@ -136,20 +81,14 @@ def _load_matrix(path: str):
     return json_int_rows(doc, f"matrix file {path!r}")
 
 
-def _class_summary(surface: EllipticSurface, a: HClass) -> dict:
-    big_k = canonical_class(surface)
-    return {
-        "coords": list(a.coords),
-        "square": a.square(),
-        "divisibility": a.divisibility(),
-        "characteristic": a.is_characteristic(),
-        "k_dot": a.dot(surface.k),
-        "K_dot": a.dot(big_k),
-    }
+def _fmt_basic(rs) -> str:
+    return " ".join("0" if r == 0 else f"{r}k" for r in rs)
 
 
-def _surface_summary(surface: EllipticSurface) -> dict:
-    return {
+def _cmd_info(args, err):
+    surface = _load_surface(args)
+    rs = list(basic_range(surface))
+    doc = {
         "surface": surface.spec,
         "n": surface.n,
         "p": surface.p,
@@ -162,107 +101,92 @@ def _surface_summary(surface: EllipticSurface) -> dict:
         "rank": surface.lattice.rank,
         "sig_pos": surface.lattice.sig_pos,
         "sig_neg": surface.lattice.sig_neg,
-        "basic_classes": list(basic_range(surface)),
+        "basic_classes": rs,
     }
+    text = (
+        f"surface: {doc['surface']}\n"
+        f"n: {doc['n']}\np: {doc['p']}\nq: {doc['q']}\n"
+        f"d: {doc['d']}\nspin: {_bool(doc['spin'])}\n"
+        f"l: {doc['l']}\nm: {doc['m']}\n"
+        f"lattice: {doc['lattice']}\n"
+        f"rank: {doc['rank']}\n"
+        f"signature: ({doc['sig_pos']},{doc['sig_neg']})\n"
+        f"basic classes ({len(rs)}): {_fmt_basic(rs)}\n"
+    )
+    return doc, text
 
 
-def _fmt_basic(rs) -> str:
-    return " ".join("0" if r == 0 else f"{r}k" for r in rs)
-
-
-def _cmd_info(args, out, err) -> None:
-    surface = _load_surface(args)
-    doc = _surface_summary(surface)
-    if args.json:
-        _emit_json(doc, out)
-        return
-    out.write(f"surface: {doc['surface']}\n")
-    out.write(f"n: {doc['n']}\np: {doc['p']}\nq: {doc['q']}\n")
-    out.write(f"d: {doc['d']}\nspin: {_bool(doc['spin'])}\n")
-    out.write(f"l: {doc['l']}\nm: {doc['m']}\n")
-    out.write(f"lattice: {doc['lattice']}\n")
-    out.write(f"rank: {doc['rank']}\n")
-    out.write(f"signature: ({doc['sig_pos']},{doc['sig_neg']})\n")
-    rs = doc["basic_classes"]
-    out.write(f"basic classes ({len(rs)}): {_fmt_basic(rs)}\n")
-
-
-def _cmd_basic(args, out, err) -> None:
+def _cmd_basic(args, err):
     surface = _load_surface(args)
     rs = list(basic_range(surface))
-    if args.json:
-        _emit_json({"surface": surface.spec, "basic_classes": rs}, out)
-        return
-    out.write(f"basic classes ({len(rs)}): {_fmt_basic(rs)}\n")
+    doc = {"surface": surface.spec, "basic_classes": rs}
+    return doc, f"basic classes ({len(rs)}): {_fmt_basic(rs)}\n"
 
 
-def _cmd_class(args, out, err) -> None:
+def _cmd_class(args, err):
     surface = _load_surface(args)
     a = surface.parse_class(args.class_input)
-    doc = _class_summary(surface, a)
-    if args.json:
-        _emit_json(doc, out)
-        return
-    out.write(f"class: {a.pretty()}\n")
-    out.write(f"square: {doc['square']}\n")
-    out.write(f"divisibility: {doc['divisibility']}\n")
-    out.write(f"characteristic: {_bool(doc['characteristic'])}\n")
-    out.write(f"k.A: {doc['k_dot']}\n")
-    out.write(f"K.A: {doc['K_dot']}\n")
+    doc = {
+        "coords": list(a.coords),
+        "square": a.square(),
+        "divisibility": a.divisibility(),
+        "characteristic": a.is_characteristic(),
+        "k_dot": a.dot(surface.k),
+        "K_dot": a.dot(canonical_class(surface)),
+    }
+    text = (
+        f"class: {a.pretty()}\n"
+        f"square: {doc['square']}\n"
+        f"divisibility: {doc['divisibility']}\n"
+        f"characteristic: {_bool(doc['characteristic'])}\n"
+        f"k.A: {doc['k_dot']}\n"
+        f"K.A: {doc['K_dot']}\n"
+    )
+    return doc, text
 
 
-def _cmd_genus(args, out, err) -> None:
+def _cmd_genus(args, err):
     surface = _load_surface(args)
-    a = surface.parse_class(args.class_input)
-    verdict = min_genus(surface, a)
-    if args.json:
-        _emit_json(verdict.to_json_dict(), out)
-        return
-    out.write(f"status: {verdict.status.value}\n")
-    out.write(f"rule: {verdict.rule.value}\n")
-    out.write(f"lower_bound: {verdict.lower_bound}\n")
-    out.write(f"realized: {verdict.realized if verdict.realized is not None else '-'}\n")
+    verdict = min_genus(surface, surface.parse_class(args.class_input))
+    text = (
+        f"status: {verdict.status.value}\n"
+        f"rule: {verdict.rule.value}\n"
+        f"lower_bound: {verdict.lower_bound}\n"
+        f"realized: {verdict.realized if verdict.realized is not None else '-'}\n"
+    )
     if verdict.negative_square_note:
-        out.write(f"note: {verdict.negative_square_note}\n")
+        text += f"note: {verdict.negative_square_note}\n"
     if verdict.certificate:
         c = verdict.certificate
-        out.write(
+        text += (
             f"certificate: canonical={c.canonical.pretty()} spinor={c.spinor:+d} "
             f"fixes_k={_bool(c.fixes_k)} fixes_W={_bool(c.fixes_W)}\n"
         )
+    return verdict, text
 
 
-def _cmd_reduce(args, out, err) -> None:
+def _cmd_reduce(args, err):
     surface = _load_surface(args)
-    a = surface.parse_class(args.class_input)
-    res = reduce_in_elliptic(surface, a)
-    if args.json:
-        _emit_json(res.to_json_dict(), out)
-        return
-    out.write(f"input: {res.input.pretty()}\n")
-    out.write(f"canonical: {res.canonical.pretty()}\n")
-    out.write(f"spinor: {res.spinor:+d}\n")
-    out.write(f"fixes_k: {_bool(res.fixes_k)}\n")
-    out.write(f"fixes_W: {_bool(res.fixes_W)}\n")
+    res = reduce_in_elliptic(surface, surface.parse_class(args.class_input))
+    text = (
+        f"input: {res.input.pretty()}\n"
+        f"canonical: {res.canonical.pretty()}\n"
+        f"spinor: {res.spinor:+d}\n"
+        f"fixes_k: {_bool(res.fixes_k)}\n"
+        f"fixes_W: {_bool(res.fixes_W)}\n"
+    )
+    return res, text
 
 
-def _cmd_spinor(args, out, err) -> None:
+def _cmd_spinor(args, err):
     lattice = _load_lattice(args)
-    iso = verify_isometry(lattice, _load_matrix(args.matrix))
-    nu = spinor_norm(iso)
-    if args.json:
-        _emit_json({"spinor": nu}, out)
-        return
-    out.write(f"{nu:+d}\n")
+    nu = spinor_norm(verify_isometry(lattice, _load_matrix(args.matrix)))
+    return {"spinor": nu}, f"{nu:+d}\n"
 
 
-def _cmd_verify(args, out, err) -> None:
-    lattice = _load_lattice(args)
-    verify_isometry(lattice, _load_matrix(args.matrix))
-    if args.json:
-        _emit_json({"ok": True}, out)
-        return
-    out.write("ok\n")
+def _cmd_verify(args, err):
+    verify_isometry(_load_lattice(args), _load_matrix(args.matrix))
+    return {"ok": True}, "ok\n"
 
 
 def _budget(args) -> int:
@@ -279,7 +203,7 @@ def _budget(args) -> int:
     return budget
 
 
-def _cmd_oracle(args, out, err) -> None:
+def _cmd_oracle(args, err):
     lattice = _load_lattice(args)
     budget = _budget(args)
     seeds = enumerate_vectors(lattice, args.square, args.div, args.bound, max_states=budget)
@@ -295,46 +219,77 @@ def _cmd_oracle(args, out, err) -> None:
         square=args.square,
         divisibility=args.div,
     )
-    if args.json:
-        _emit_json(report.to_json_dict(), out)
-        return
-    doc = report.to_json_dict()
-    for key in (
-        "lattice",
-        "square",
-        "divisibility",
-        "coord_bound",
-        "vectors_found",
-        "orbit_count_full",
-        "orbit_count_spinor1",
-    ):
-        out.write(f"{key}: {doc[key]}\n")
+    fields = "square divisibility coord_bound vectors_found orbit_count_full orbit_count_spinor1"
+    text = f"lattice: {report.lattice.spec}\n"
+    text += "".join(f"{key}: {getattr(report, key)}\n" for key in fields.split())
     if report.witnesses is not None:
-        out.write(f"witnesses: {len(report.witnesses)}\n")
+        text += f"witnesses: {len(report.witnesses)}\n"
+    return report, text
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "basic": _cmd_basic,
-    "class": _cmd_class,
-    "genus": _cmd_genus,
-    "reduce": _cmd_reduce,
-    "spinor": _cmd_spinor,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-}
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="genlat", description=__doc__)
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add(name, help_text, cmd):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(cmd=cmd)
+        return p
+
+    p = add("info", "surface invariants and basic classes", _cmd_info)
+    p.add_argument("surface_pos", nargs="?", metavar="SURFACE")
+    p.add_argument("--surface")
+
+    p = add("basic", "basic classes of a surface", _cmd_basic)
+    p.add_argument("--surface", required=True)
+
+    for name, help_text, cmd in (
+        ("class", "square, divisibility and pairings of a class", _cmd_class),
+        ("genus", "minimal-genus verdict for a class", _cmd_genus),
+        ("reduce", "reduce a class to its canonical representative", _cmd_reduce),
+    ):
+        p = add(name, help_text, cmd)
+        p.add_argument("--surface", required=True)
+        p.add_argument("--class", dest="class_input", required=True)
+
+    for name, help_text, cmd in (
+        ("spinor", "spinor norm of a matrix certificate", _cmd_spinor),
+        ("verify", "check a matrix certificate", _cmd_verify),
+    ):
+        p = add(name, help_text, cmd)
+        p.add_argument("--surface")
+        p.add_argument("--lattice")
+        p.add_argument("--matrix", required=True)
+
+    p = add("oracle", "brute-force orbit report", _cmd_oracle)
+    p.add_argument("mode", choices=["orbit"])
+    p.add_argument("--surface")
+    p.add_argument("--lattice")
+    p.add_argument("--square", type=int, required=True)
+    p.add_argument("--div", type=int, default=1)
+    p.add_argument("--bound", type=int, default=1)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--witnesses", action="store_true")
+    return parser
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
-    """Run one verb; its stdout is written only once it has succeeded."""
+    """Run one verb; its stdout is written only once it has succeeded.
+
+    A verb returns its text and its JSON document, or the record whose
+    to_json_dict() gives that document, which is built only under --json.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    buf = io.StringIO()
     try:
         args = _build_parser().parse_args(argv)
-        _COMMANDS[args.verb](args, buf, err)
+        doc, text = args.cmd(args, err)
+        if args.json:
+            doc = doc if isinstance(doc, dict) else doc.to_json_dict()
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     except _HelpRequested as exc:
-        buf.write(exc.args[0])
+        text = exc.args[0]
     except BudgetExceeded as exc:
         err.write(f"error: {exc}\n")
         return 3
@@ -342,7 +297,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         # ValueError: an output integer past Python's int-to-str digit limit
         err.write(f"error: {exc}\n")
         return 2
-    out.write(buf.getvalue())
+    out.write(text)
     return 0
 
 

@@ -70,7 +70,11 @@ def enumerate_vectors(
 ) -> list[HClass]:
     """All classes with max-norm <= bound of the given square and
     divisibility, in lexicographic coordinate order."""
-    check_ints((square, divisibility, bound), PreconditionFailed, "square, divisibility, bound")
+    check_ints(
+        (square, divisibility, bound, max_states),
+        PreconditionFailed,
+        "square, divisibility, bound, max_states",
+    )
     if bound < 1:
         raise PreconditionFailed("bound must be at least 1")
     if divisibility < 1:
@@ -191,7 +195,7 @@ def orbit_bfs(
     The report's square and divisibility are the given ones, which every
     seed must have, or else those the seeds share (None with no seeds).
     """
-    check_ints((bound,), PreconditionFailed, "bound")
+    check_ints((bound, max_states), PreconditionFailed, "bound, max_states")
     seeds = as_tuple(seeds, "seeds")
     for s in seeds:
         check_same_lattice(lattice, s.lattice)
@@ -312,7 +316,7 @@ def exhaustive_isometry_search(
     """
     check_same_lattice(lattice, x.lattice)
     check_same_lattice(lattice, y.lattice)
-    check_ints((entry_bound,), PreconditionFailed, "entry_bound")
+    check_ints((entry_bound, max_states), PreconditionFailed, "entry_bound, max_states")
     if x.square() != y.square():
         raise PreconditionFailed("x and y must have equal square")
     if x.divisibility() != y.divisibility():

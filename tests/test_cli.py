@@ -459,6 +459,18 @@ def test_cli_output_is_pinned(tmp_path, case, mode):
     )
 
 
+def test_text_mode_builds_no_json_documents(monkeypatch):
+    # the JSON rows of a certificate are built only under --json
+    def refuse(self):
+        raise AssertionError("to_json_dict called in text mode")
+
+    for record in (g.GenusVerdict, g.ReductionResult, g.OrbitReport):
+        monkeypatch.setattr(record, "to_json_dict", refuse)
+    for case in ("genus-COR_ORTH_KV", "genus-PROP_MINUS2", "reduce", "oracle-witnesses"):
+        argv, text, _ = _GOLDEN[case]
+        assert call(argv) == text
+
+
 @pytest.mark.parametrize(
     "argv",
     [["genus_table.py"], ["genus_table.py", "--json"], ["orbit_survey.py", "--bound", "1"]],

@@ -405,6 +405,25 @@ def test_search_budget(H2):
         g.exhaustive_isometry_search(H2, x, y, 2, max_states=3)
 
 
+
+_BUDGETED = {
+    "enumerate_vectors": lambda H, budget: g.enumerate_vectors(H, 0, 1, 1, max_states=budget),
+    "orbit_bfs": lambda H, budget: g.orbit_bfs(
+        H, g.enumerate_vectors(H, 0, 1, 1), g.default_generators(H), 1, max_states=budget
+    ),
+    "exhaustive_isometry_search": lambda H, budget: g.exhaustive_isometry_search(
+        H, H.basis_class("e1"), H.basis_class("f1"), 1, max_states=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", ["x", None, 1e9, True], ids=["str", "None", "float", "bool"])
+@pytest.mark.parametrize("call", sorted(_BUDGETED))
+def test_max_states_must_be_an_int(H, call, budget):
+    # not a bare TypeError, nor a float or a bool taken as a budget
+    with pytest.raises(g.PreconditionFailed, match="max_states"):
+        _BUDGETED[call](H, budget)
+
 def test_orbit_report_json(H2):
     gens = g.default_generators(H2)
     seeds = g.enumerate_vectors(H2, 0, 1, 1)
