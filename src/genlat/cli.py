@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .elliptic import (
@@ -197,6 +198,8 @@ def _budget(args) -> int:
         try:
             budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
+            if re.fullmatch(r"\s*[+-]?\d+\s*", env):  # past int()'s digit limit
+                raise ParseError(f"{_BUDGET_ENV} has too many digits ({len(env)})") from None
             raise ParseError(f"{_BUDGET_ENV}={env!r} is not an integer") from None
     if budget < 1:
         raise ParseError(f"the state budget must be positive, got {budget}")

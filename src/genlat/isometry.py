@@ -49,7 +49,8 @@ class Isometry:
     that can be non-zero lies in a row i, or by symmetry a column i,
     whose column m_i is not e_i.  Those rows are computed in full, as
     (G m_i)^T M, and compared with G[i]; the cost follows the columns
-    the certificate moves, not n^2.  A non-square shape or a failed
+    the certificate moves, not n^2, and their indices are kept for
+    spinor_norm.  A non-square shape or a failed
     check is NotAnIsometry, naming the first wrong entry.
     """
 
@@ -59,7 +60,8 @@ class Isometry:
     def __post_init__(self):
         m = _square_rows(self.lattice, self.matrix)
         cols = intmat.transpose(m)
-        moved = [i for i, col in enumerate(cols) if not _is_unit(col, i)]
+        # column i is moved unless it is e_i; both scans run in C
+        moved = [i for i, c in enumerate(cols) if c[i] != 1 or c.count(0) != len(c) - 1]
         rows = intmat.matmul([self.lattice.gram_apply(cols[i]) for i in moved], m)
         g = self.lattice.gram
         wrong = []
@@ -74,6 +76,7 @@ class Isometry:
             raise NotAnIsometry(f"(M^T G M)[{i}][{j}] = {got}, expected {want}", entry=(i, j))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_columns", cols)
+        object.__setattr__(self, "_moved", frozenset(moved))
 
     def apply(self, coords) -> intmat.Vector:
         """M x, computed as x^T M^T over the support of x."""
@@ -115,11 +118,6 @@ def verify_isometry(lattice: Lattice, matrix) -> Isometry:
     for row in m:
         check_ints(row, NotAnIsometry, "the matrix")
     return Isometry(lattice, m)
-
-
-def _is_unit(col, i: int) -> bool:
-    """Is col the unit column e_i?  Both scans run in C."""
-    return col[i] == 1 and col.count(0) == len(col) - 1
 
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
@@ -219,13 +217,13 @@ def spinor_norm(m: Isometry) -> int:
     the rest gives the sign.  A frame column that M fixes gives D_bb e_b
     and is dropped without being computed.
     """
-    cols = m._columns
+    cols, moved = m._columns, m._moved
     frame = canonical_frame(m.lattice)
     kept = {}  # b -> column b of B
     for b, (s, _) in enumerate(frame):
-        x, y = cols[s], cols[s + 1]
-        if _is_unit(x, s) and _is_unit(y, s + 1):
+        if s not in moved and s + 1 not in moved:
             continue
+        x, y = cols[s], cols[s + 1]
         col = [x[t] + y[t] + c * (x[t + 1] + y[t + 1]) for t, c in frame]
         if col[b] <= 0 or col.count(0) < len(col) - 1:
             kept[b] = col

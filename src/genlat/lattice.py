@@ -366,8 +366,6 @@ def parse_lattice_spec(text: str) -> tuple[Block, ...]:
         rank += count * block.rank
         check_rank(rank)
         blocks.extend([block] * count)
-    if not blocks:
-        raise ParseError("empty lattice spec")
     return tuple(blocks)
 
 

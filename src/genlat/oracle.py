@@ -354,32 +354,25 @@ def exhaustive_isometry_search(
             return tuple(tuple(cols[j][r] for j in range(rank)) for r in range(rank))
         j = order[t]
         if t == force_pos:
-            # M x = y pins this column
-            rem = tuple(b - a for a, b in zip(partial, yc))
-            if any(r % xc[j] for r in rem):
-                return None
+            # M x = y pins this column: its slack is 0, so its probe is y
+            rem = [b - a for a, b in zip(partial, yc)]
             v = tuple(r // xc[j] for r in rem)
-            if max(map(abs, v), default=0) > entry_bound:
+            if any(r % xc[j] for r in rem) or max(map(abs, v), default=0) > entry_bound:
                 return None
             gv = lattice.gram_apply(v)
-            if intmat.dot(gv, v) != gram[j][j] or not admissible(j, v):
-                return None
-            choices = [(v, gv)]
+            choices = [(v, gv)] if intmat.dot(gv, v) == gram[j][j] else []
         else:
             choices = by_square.get(gram[j][j], [])
         for v, gv in choices:
-            if t != force_pos:
-                if not admissible(j, v):
+            if not admissible(j, v):
+                continue
+            if xc[j]:
+                slack = tail[t] * entry_bound
+                probe = tuple(p + xc[j] * c for p, c in zip(partial, v))
+                if any(abs(b - a) > slack for a, b in zip(probe, yc)):
                     continue
-                if xc[j]:
-                    slack = tail[t] * entry_bound
-                    probe = tuple(p + xc[j] * c for p, c in zip(partial, v))
-                    if any(abs(b - a) > slack for a, b in zip(probe, yc)):
-                        continue
-                else:
-                    probe = partial
             else:
-                probe = yc
+                probe = partial
             cols[j] = v
             gcols.append((j, gv))
             found = dfs(t + 1, probe)

@@ -3,7 +3,8 @@
 Every certificate built here is a product of Eichler transvections,
 with at most one reflection in a vector of negative square appended, so
 it has spinor norm +1 by construction.  It is built in one engine pass
-and checked exactly once, with its image, before release.
+and checked once before release, in _result: exactly as an isometry,
+with its image, its spinor norm and the basis classes it must fix.
 
 The core engine works on an even acting sublattice containing a target
 hyperbolic pair (e1, f1) and a helper pair (e2, f2); the remaining
@@ -156,7 +157,7 @@ def _clear(p: int, q: int):
     return ((u, (1 - u * p) // q), (-q, p))
 
 
-def diagonalize_ops(matrix, corner_one: bool = False):
+def diagonalize_ops(matrix):
     """SL2(Z) steps ("L", E) for N -> E N and ("R", E) for N -> N E that
     take the 2x2 matrix N to diagonal form, and that form.
 
@@ -167,13 +168,9 @@ def diagonalize_ops(matrix, corner_one: bool = False):
     the first clear makes the corner c positive, and a later clear either
     finds c dividing the entry, when its lower-triangular step leaves
     the other off-diagonal entry at zero, or replaces c by a proper
-    divisor of c.  With ``corner_one`` (requires gcd of entries = 1) the
-    final matrix is exactly [[1, 0], [0, det]]: with s a + t b = 1,
-    L = _clear(a, b) and R = ((1, -t b), (1, s a)) take diag(a, b) there.
+    divisor of c.
     """
     n = (tuple(matrix[0]), tuple(matrix[1]))
-    if corner_one and math.gcd(*n[0], *n[1]) != 1:
-        raise PreconditionFailed("corner_one needs gcd 1 entries")
     steps = []
 
     def put(side, e):
@@ -190,12 +187,17 @@ def diagonalize_ops(matrix, corner_one: bool = False):
             # the transpose of a clear clears row 1 from the right
             (u, v), (x, y) = _clear(*n[0])
             put("R", ((u, x), (v, y)))
-    if corner_one and n[0][0] != 1:
-        a, b = n[0][0], n[1][1]
-        (s, t), row = _clear(a, b)
-        put("L", ((s, t), row))
-        put("R", ((1, -t * b), (1, s * a)))
     return steps, n
+
+
+def _unit_corner(a: int, b: int):
+    """The SL2(Z) steps taking diag(a, b), gcd(a, b) = 1, to diag(1, ab):
+    none when a = 1, else, with s a + t b = 1, L = _clear(a, b) and
+    R = ((1, -t b), (1, s a))."""
+    if a == 1:
+        return []
+    (s, t), row = _clear(a, b)
+    return [("L", ((s, t), row)), ("R", ((1, -t * b), (1, s * a)))]
 
 
 # -- the transvection engine ---------------------------------------------------
@@ -308,8 +310,7 @@ class _Reducer:
             if math.gcd(y[self.e1], y[self.f1]) != 1:
                 raise InvariantViolation("stage 3 left gcd(a, b) != 1")
         # stage 4: reach a = 1 exactly
-        steps, _ = diagonalize_ops(self.pair_matrix(), corner_one=True)
-        self.block(steps)
+        self.block(_unit_corner(y[self.e1], y[self.f1]))
         if y[self.e1] != 1 or y[self.e2] != 0 or y[self.f2] != 0:
             raise InvariantViolation("stage 4 did not reach a = 1")
         # stage 5: absorb w
@@ -382,14 +383,19 @@ def _run(lattice: Lattice, coords, target_block: int, acting) -> tuple[_Reducer,
     return red, d
 
 
-def _result(red: _Reducer, x: HClass, canonical: HClass) -> ReductionResult:
+def _result(red: _Reducer, x: HClass, canonical: HClass, fixed=()) -> ReductionResult:
     """The engine's certificate, checked exactly, as a reduction of x to
     canonical; InvariantViolation unless it maps x there, which keeps the
-    square and the divisibility of x."""
+    square and the divisibility of x, has spinor norm +1 and fixes the
+    basis classes named in fixed."""
     cert = Isometry(red.lattice, red.certificate_matrix())
     if cert.apply(x.coords) != canonical.coords:
         raise InvariantViolation("the certificate does not map the class to its canonical form")
-    return ReductionResult(x, canonical, cert)
+    res = ReductionResult(x, canonical, cert)
+    if res.spinor != 1 or not all(map(res._fixes, fixed)):
+        fix = "".join(f" and fix {name}" for name in fixed)
+        raise InvariantViolation(f"the certificate must have spinor norm +1{fix}")
+    return res
 
 
 # -- elliptic-surface entry points --------------------------------------------
@@ -427,10 +433,7 @@ def reduce_in_elliptic(surface, a_class: HClass) -> ReductionResult:
         red.step(_reflection_terms(lattice, (surface.R - surface.T).coords))
     # (gamma, delta) is d(s, 1) after the swap, else d(1, s), s <= 0
     canonical = a_class.coords[0] * surface.k + d * lattice.hclass(red.y)
-    res = _result(red, a_class, canonical)
-    if res.spinor != 1 or not (res.fixes_k and res.fixes_W):
-        raise InvariantViolation("the certificate must have spinor norm +1 and fix k and W")
-    return res
+    return _result(red, a_class, canonical, ("k", "W"))
 
 
 def phi_isometry(surface, alpha: int) -> Isometry:
@@ -465,7 +468,4 @@ def sphere_reduction(surface, a_class: HClass) -> ReductionResult:
         minus_a_r = -a_class.coords[0] * surface.R
         red.step(_reflection_terms(lattice, (surface.R - surface.T).coords))
         red.step(_transvection_terms(lattice, surface.k.coords, minus_a_r.coords))
-    res = _result(red, a_class, surface.S)
-    if res.spinor != 1 or not res.fixes_k:
-        raise InvariantViolation("the certificate must have spinor norm +1 and fix k")
-    return res
+    return _result(red, a_class, surface.S, ("k",))

@@ -234,10 +234,23 @@ def _assert_typed_error(code, out, err):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
-def test_bad_budget_env_var_exit_2(monkeypatch, value):
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "GENUS_LATTICE_BUDGET='abc' is not an integer"),
+        ("0", "the state budget must be positive, got 0"),
+        ("-5", "the state budget must be positive, got -5"),
+        ("1.5", "GENUS_LATTICE_BUDGET='1.5' is not an integer"),
+        # past int()'s digit limit: named by its length, not echoed
+        ("9" * 5000, "GENUS_LATTICE_BUDGET has too many digits (5000)"),
+    ],
+    ids=["abc", "0", "-5", "1.5", "5000 nines"],
+)
+def test_bad_budget_env_var_exit_2(monkeypatch, value, message):
     monkeypatch.setenv("GENUS_LATTICE_BUDGET", value)
-    _assert_typed_error(*call(_orbit_argv()))
+    code, out, err = call(_orbit_argv())
+    _assert_typed_error(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -134,6 +134,11 @@ def test_identity_shape():
         )
 
 
+@pytest.mark.parametrize("m", [((1, 2), (2, 4)), ((0, 1), (0, 2))])
+def test_det_of_a_singular_matrix(m):
+    assert intmat.det(m) == 0
+
+
 # -- the lattice pairing ------------------------------------------------------------
 
 

@@ -333,6 +333,12 @@ def test_spec_string_errors(bad):
         g.parse_lattice_spec(bad)
 
 
+@pytest.mark.parametrize("bad", ["", ","])
+def test_an_empty_spec_token_is_a_bad_token(bad):
+    with pytest.raises(g.ParseError, match="^bad lattice token ''$"):
+        g.parse_lattice_spec(bad)
+
+
 # -- class parsing ----------------------------------------------------------------
 
 def test_parse_class_dense_and_sparse(H2):
@@ -382,10 +388,15 @@ _NON_INTEGER_ARGUMENTS = {
     ),
     "orbit_bfs bound": (lambda: g.orbit_bfs(_H3, [_X3], [_ID3], 1.5), g.PreconditionFailed),
     "basis_class bool": (lambda: _H3.basis_class(True), g.BadParameters),
+    "basis_class out of range": (lambda: _H3.basis_class(6), g.BadParameters),
+    "hclass length": (lambda: _H3.hclass((1, 2, 3)), g.BadParameters),
     "parse_class int": (lambda: g.parse_class(_H3, 5), g.ParseError),
     "parse_surface int": (lambda: g.parse_surface(5), g.ParseError),
     "EllipticSurface.parse_class None": (lambda: _E3.parse_class(None), g.ParseError),
     "make_lattice blocks": (lambda: g.make_lattice(5), g.BadParameters),
+    "make_lattice block str": (
+        lambda: g.make_lattice([g.Block.HYPERBOLIC, "H"]), g.BadParameters
+    ),
     "make_lattice basis_names int": (
         lambda: g.make_lattice(_H3.blocks, basis_names=5), g.BadParameters
     ),
@@ -419,6 +430,8 @@ def test_parse_class_errors(H2):
         g.parse_class(H2, "e1=x")
     with pytest.raises(g.ParseError):
         g.parse_class(H2, "1,2,3,x")
+    with pytest.raises(g.ParseError):
+        g.parse_class(H2, "e1=1,f1")
 
 
 # -- JSON -------------------------------------------------------------------------
@@ -446,6 +459,7 @@ def test_hclass_json_round_trip(H2):
         {"spec": "H"},
         {"blocks": ["H"], "basis_names": 5},
         {"blocks": ["H"], "gram": [[0, 1.0], [1, 0]]},
+        {"blocks": ["H"], "gram": [[0, 1], [1, 1]]},
         {"blocks": ["H"], "gram": [[False, True], [True, False]]},
         {"blocks": ["H"], "gram": [[0, "1"], [1, 0]]},
         {"blocks": ["H"], "gram": "[[0,1],[1,0]]"},

@@ -398,11 +398,20 @@ def test_search_precondition(H):
         g.exhaustive_isometry_search(H, e, 2 * e, 1)  # divisibility differs
 
 
+def test_search_finds_nothing_past_the_entry_bound(H2):
+    e1, e2 = H2.basis_class("e1"), H2.basis_class("e2")
+    assert g.exhaustive_isometry_search(H2, e1, e1 + 2 * e2, 1) is None
+
+
 def test_search_budget(H2):
     x = H2.hclass([1, 1, 1, 1])
     y = H2.hclass([1, 2, 0, 0])
     with pytest.raises(g.BudgetExceeded):
         g.exhaustive_isometry_search(H2, x, y, 2, max_states=3)
+    # 3^4 = 81 candidates pass the enumeration check; the search does not
+    x = H2.hclass([-2, -1, -2, 1])
+    with pytest.raises(g.BudgetExceeded, match="^search exceeded 81 states$"):
+        g.exhaustive_isometry_search(H2, x, x, 1, max_states=81)
 
 
 

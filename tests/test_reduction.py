@@ -54,14 +54,21 @@ def test_diagonalize_exhaustive_small():
             assert final[0][0] != 0
 
 
+def _to_unit_corner(m):
+    """diagonalize_ops, then stage 4's closed form: the steps taking m,
+    with gcd 1 entries, to diag(1, det m), and their image of m."""
+    ops, ((a, _), (_, b)) = diagonalize_ops(m)
+    ops += reduction._unit_corner(a, b)
+    return ops, _replay(m, ops)
+
+
 def test_diagonalize_corner_one_exhaustive_small():
     values = range(-3, 4)
     for entries in itertools.product(values, repeat=4):
         m = ((entries[0], entries[1]), (entries[2], entries[3]))
         if _gcd4(m) != 1:
             continue
-        ops, final = diagonalize_ops(m, corner_one=True)
-        assert _replay(m, ops) == final
+        ops, final = _to_unit_corner(m)
         assert final == ((1, 0), (0, _det2(m)))
 
 
@@ -78,20 +85,16 @@ def test_diagonalize_large_entries(entries, corner_one):
     b = max(abs(e).bit_length() for e in entries)
     m = ((entries[0], entries[1]), (entries[2], entries[3]))
     corner_one = corner_one and _gcd4(m) == 1
-    ops, final = diagonalize_ops(m, corner_one=corner_one)
+    ops, final = diagonalize_ops(m)
     assert _replay(m, ops) == final
     assert final[0][1] == 0 and final[1][0] == 0
     assert _det2(final) == _det2(m)
     assert _gcd4(final) == _gcd4(m)
     assert (final[0][0] != 0) == any(entries)
     if corner_one:
+        ops, final = _to_unit_corner(m)
         assert final == ((1, 0), (0, _det2(m)))
     assert len(ops) <= 2 * b + 7
-
-
-def test_diagonalize_corner_one_rejects_gcd():
-    with pytest.raises(g.PreconditionFailed):
-        diagonalize_ops(((2, 0), (0, 2)), corner_one=True)
 
 
 # -- one pair-block step against the transvections it stands for ---------------
@@ -149,7 +152,7 @@ def test_block_is_the_product_of_its_transvections(op, t, entries, corner_one, r
     assert red.certificate_matrix() == ref.matrix
     # general steps are N -> L N R on the pair coordinates, of spinor norm +1
     m = ((entries[0], entries[1]), (entries[2], entries[3]))
-    steps, _ = diagonalize_ops(m, corner_one=corner_one and _gcd4(m) == 1)
+    steps = _to_unit_corner(m)[0] if corner_one and _gcd4(m) == 1 else diagonalize_ops(m)[0]
     q = _pair_block_isometry(steps)
     assert g.spinor_norm(q) == 1
     red.block(steps)
@@ -241,6 +244,10 @@ def test_reduce_even_errors(H, H2, e3):
     # support outside the acting sublattice
     with pytest.raises(g.PreconditionFailed):
         g.reduce_even(e3.lattice, e3.k, 1, acting_blocks=range(1, 8))
+    # H' is odd
+    lat = g.lattice_from_spec("H',2H")
+    with pytest.raises(g.PreconditionFailed, match="even blocks"):
+        g.reduce_even(lat, lat.hclass([0, 0, 1, 1, 0, 0]), 1, [0, 1, 2])
 
 
 @pytest.mark.parametrize("block", [99, -1, 1.0, True])
@@ -595,6 +602,77 @@ def test_each_reduction_is_checked_exactly_once(e3, H2E8, monkeypatch):
         calls.clear()
         res = case()
         assert len(calls) == 1 and calls[0] is res.certificate
+
+
+def _reflect_in_helper(red):
+    # e2 + f2 of the helper H block has square 2, so its reflection has
+    # spinor norm -1; it fixes the reduced class, which has no e2, f2 part
+    v = [0] * red.lattice.rank
+    v[red.e2] = v[red.f2] = 1
+    return reduction._reflection_terms(red.lattice, v)
+
+
+def _move_k(red):
+    # E_{e2, 2W} has spinor norm +1, takes k to k + 2 e2 and fixes the
+    # reduced class, which pairs with neither e2 nor W
+    lat = red.lattice
+    two_w = (2 * lat.basis_class("W")).coords
+    return reduction._transvection_terms(lat, lat.unit_coords(red.e2), two_w)
+
+
+def _move_the_class(red):
+    # E_{e2, e1} has spinor norm +1 and fixes k, but takes e1 + s f1 to
+    # e1 + s f1 + s e2
+    lat = red.lattice
+    return reduction._transvection_terms(lat, lat.unit_coords(red.e2), lat.unit_coords(red.e1))
+
+
+_BAD_LAST_STEP = {
+    "reduce_even spinor": (
+        "E(2)", _reflect_in_helper,
+        lambda s: g.reduce_even(s.lattice, s.parse_class("e1=2,f1=3,e2=1"), 1),
+        "spinor norm \\+1$",
+    ),
+    "reduce_in_elliptic K3 spinor": (
+        "E(2)", _reflect_in_helper,
+        lambda s: g.reduce_in_elliptic(s, s.parse_class("e1=2,f1=3,e2=1")),
+        "spinor norm \\+1$",
+    ),
+    "reduce_in_elliptic spinor": (
+        "E(3)", _reflect_in_helper,
+        lambda s: g.reduce_in_elliptic(s, s.parse_class("k=2,e1=2,f1=3,e2=1")),
+        "spinor norm \\+1 and fix k and fix W",
+    ),
+    "reduce_in_elliptic k": (
+        "E(3)", _move_k,
+        lambda s: g.reduce_in_elliptic(s, s.parse_class("e1=2,f1=3,e2=1")),
+        "fix k and fix W$",
+    ),
+    "sphere_reduction k": (
+        "E(3)", _move_k, lambda s: g.sphere_reduction(s, s.R - s.T), "fix k$",
+    ),
+    "sphere_reduction image": (
+        "E(3)", _move_the_class, lambda s: g.sphere_reduction(s, s.R - s.T),
+        "does not map the class to its canonical form",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LAST_STEP))
+def test_every_reduction_refuses_a_bad_certificate(monkeypatch, case):
+    # one more step after the engine's run breaks a claim, or on the sphere
+    # path the image: _result refuses the certificate instead of returning it
+    spec, last_step, reduce, message = _BAD_LAST_STEP[case]
+    surface = g.parse_surface(spec)
+    run = reduction._Reducer.run
+
+    def run_then_step(red):
+        run(red)
+        red.step(last_step(red))
+
+    monkeypatch.setattr(reduction._Reducer, "run", run_then_step)
+    with pytest.raises(g.InvariantViolation, match=message):
+        reduce(surface)
 
 
 # -- JSON round trip ----------------------------------------------------------------------
