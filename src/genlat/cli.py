@@ -190,16 +190,30 @@ def _cmd_verify(args, err):
     return {"ok": True}, "ok\n"
 
 
+def _int(text: str) -> int:
+    """int(text); ArgumentTypeError naming only the length of a digit string
+    past int()'s digit limit, so that it is not echoed; else ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise argparse.ArgumentTypeError(f"has too many digits ({len(text)})") from None
+        raise
+
+
+_int.__name__ = "int"  # argparse words a ValueError as "invalid int value: 'abc'"
+
+
 def _budget(args) -> int:
     """--budget, else $GENUS_LATTICE_BUDGET, else the default; positive."""
     budget = args.budget
     if budget is None:
         env = os.environ.get(_BUDGET_ENV)
         try:
-            budget = int(env) if env else DEFAULT_BUDGET
+            budget = _int(env) if env else DEFAULT_BUDGET
+        except argparse.ArgumentTypeError as exc:
+            raise ParseError(f"{_BUDGET_ENV} {exc}") from None
         except ValueError:
-            if re.fullmatch(r"\s*[+-]?\d+\s*", env):  # past int()'s digit limit
-                raise ParseError(f"{_BUDGET_ENV} has too many digits ({len(env)})") from None
             raise ParseError(f"{_BUDGET_ENV}={env!r} is not an integer") from None
     if budget < 1:
         raise ParseError(f"the state budget must be positive, got {budget}")
@@ -269,10 +283,10 @@ def _build_parser() -> _Parser:
     p.add_argument("mode", choices=["orbit"])
     p.add_argument("--surface")
     p.add_argument("--lattice")
-    p.add_argument("--square", type=int, required=True)
-    p.add_argument("--div", type=int, default=1)
-    p.add_argument("--bound", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--square", type=_int, required=True)
+    p.add_argument("--div", type=_int, default=1)
+    p.add_argument("--bound", type=_int, default=1)
+    p.add_argument("--budget", type=_int, default=None)
     p.add_argument("--witnesses", action="store_true")
     return parser
 

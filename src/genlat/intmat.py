@@ -7,6 +7,7 @@ determinant signs and inertia counts are certificates and must be exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from operator import mul
 
@@ -14,7 +15,10 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
+@lru_cache(maxsize=8)
 def identity(n: int) -> Matrix:
+    """The identity, one shared object per n: a certificate's rows that are
+    these very objects are known to be unit rows without a scan."""
     return tuple(map(tuple, identity_rows(n)))
 
 
@@ -76,20 +80,16 @@ def vecmat(v, a: Matrix) -> Vector:
     return tuple(acc)
 
 
-def add_outer(m: list[list[int]], a, b) -> None:
-    """m += a b^T in place, visiting only the supports of a and b."""
-    b_nz = _nonzeros(b)
-    for r in compress(range(len(a)), a):
-        row, x = m[r], a[r]
-        for j, y in b_nz:
-            row[j] += x * y
-
-
 def identity_plus(n: int, terms) -> Matrix:
-    """I + sum of a b^T over the (a, b) pairs in terms."""
+    """I + sum of a b^T over the (a, b) pairs in terms, visiting only the
+    supports of a and b."""
     m = identity_rows(n)
     for a, b in terms:
-        add_outer(m, a, b)
+        b_nz = _nonzeros(b)
+        for r in compress(range(len(a)), a):
+            row, x = m[r], a[r]
+            for j, y in b_nz:
+                row[j] += x * y
     return tuple(map(tuple, m))
 
 

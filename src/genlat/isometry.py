@@ -3,7 +3,9 @@
 Matrices act on coordinate columns; ``compose(A, B)`` applies B first.
 Every Isometry is checked exactly against M^T G M = G by its
 constructor, so no certificate, whether composed, inverted or built
-outside the package, holds a matrix that fails it.  The spinor norm of
+outside the package, holds a matrix that fails it.  It keeps only the
+non-zero entries of D = M - I, so the check, ``apply`` and the spinor
+norm cost what D holds, not n^2.  The spinor norm of
 M is the sign of det(P^T G M P) for the fixed integer frame P of
 canonical_frame, one column e_s + f_s per rank-2 block, spanning a
 maximal positive-definite subspace; the orientation bookkeeping is done
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, compress
 
 from . import intmat
 from .errors import (
@@ -42,45 +45,68 @@ class Isometry:
     """An integer matrix certificate M with M^T G M = G, checked exactly
     when it is made; the rows are stored as a tuple of tuples.
 
-    The check is exact and deterministic; nothing is sampled.  The
-    difference E = M^T G M - G is symmetric, and its entry
-    E[i][j] = m_i^T G m_j - G[i][j] vanishes identically when the columns
-    m_i and m_j are the unit columns e_i and e_j.  So every entry of E
-    that can be non-zero lies in a row i, or by symmetry a column i,
-    whose column m_i is not e_i.  Those rows are computed in full, as
-    (G m_i)^T M, and compared with G[i]; the cost follows the columns
-    the certificate moves, not n^2, and their indices are kept for
-    spinor_norm.  A non-square shape or a failed
-    check is NotAnIsometry, naming the first wrong entry.
+    The check is exact and deterministic; nothing is sampled.  Write
+    M = I + D.  A row that is the shared row object of intmat.identity is
+    not read; every other row must hold exact ints, and its entries of D
+    are kept by row and by column.  E = M^T G M - G is symmetric, and its
+    row i is h^T + (g_i + h)^T D with g_i = G e_i and h = G d_i, d_i
+    column i of D.  An unmoved column has d_i = 0 and row g_i^T D, the
+    mirror of the rows of moved columns; so only those are computed, from
+    the sparse Gram rows and D, and must vanish.  A non-square shape, a
+    non-int entry or a failed check is NotAnIsometry, naming the first
+    wrong entry of M^T G M.
     """
 
     lattice: Lattice
     matrix: intmat.Matrix
 
     def __post_init__(self):
-        m = _square_rows(self.lattice, self.matrix)
-        cols = intmat.transpose(m)
-        # column i is moved unless it is e_i; both scans run in C
-        moved = [i for i, c in enumerate(cols) if c[i] != 1 or c.count(0) != len(c) - 1]
-        rows = intmat.matmul([self.lattice.gram_apply(cols[i]) for i in moved], m)
-        g = self.lattice.gram
+        m = tuple(map(tuple, self.matrix))
+        n = self.lattice.rank
+        if len(m) != n or any(len(row) != n for row in m):
+            raise NotAnIsometry(f"matrix must be {n}x{n}")
+        eye = intmat.identity(n)
+        rows, cols = {}, {}  # the non-zero entries of D = M - I, by row and by column
+        for r, row in enumerate(m):
+            if row is eye[r]:
+                continue
+            check_ints(row, NotAnIsometry, "the matrix")
+            if row != eye[r]:
+                d = list(row)
+                d[r] -= 1
+                rows[r] = [(j, d[j]) for j in compress(range(n), d)]
+                for j, x in rows[r]:
+                    cols.setdefault(j, []).append((r, x))
+        grows = self.lattice._gram_rows
         wrong = []
-        for i, row in zip(moved, rows):
-            if row != g[i]:
-                j = next(j for j in range(len(row)) if row[j] != g[i][j])
+        for i in sorted(cols):
+            h = {}  # G d_i
+            for r, x in cols[i]:
+                for j, g in grows[r]:
+                    h[j] = h.get(j, 0) + g * x
+            e = dict(h)  # row i of E: h^T, plus g_i^T D and h^T D
+            for r, x in chain(grows[i], h.items()):
+                for j, y in rows.get(r, ()):
+                    e[j] = e.get(j, 0) + x * y
+            if any(e.values()):
+                j = min(j for j, x in e.items() if x)
                 # the first wrong entry in row-major order is the first of
                 # (i, j) and its mirror (j, i) over the moved rows
-                wrong.append((min((i, j), (j, i)), row[j], g[i][j]))
+                wrong.append((min((i, j), (j, i)), e[j]))
         if wrong:
-            (i, j), got, want = min(wrong)
-            raise NotAnIsometry(f"(M^T G M)[{i}][{j}] = {got}, expected {want}", entry=(i, j))
+            (i, j), diff = min(wrong)
+            want = self.lattice.gram[i][j]
+            raise NotAnIsometry(f"(M^T G M)[{i}][{j}] = {want + diff}, expected {want}", entry=(i, j))
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_columns", cols)
-        object.__setattr__(self, "_moved", frozenset(moved))
+        object.__setattr__(self, "_moved", cols)
 
     def apply(self, coords) -> intmat.Vector:
-        """M x, computed as x^T M^T over the support of x."""
-        return intmat.vecmat(coords, self._columns)
+        """M x = x + D x, over the moved columns only."""
+        out = list(coords)
+        for i, col in self._moved.items():
+            for r, x in col:
+                out[r] += coords[i] * x
+        return tuple(out)
 
     def __call__(self, x: HClass) -> HClass:
         check_same_lattice(self.lattice, x.lattice)
@@ -89,7 +115,7 @@ class Isometry:
     def inverse(self) -> "Isometry":
         # M^-1 = G^-1 M^T G; integral because G is unimodular
         lat = self.lattice
-        mt_g = intmat.matmul(self._columns, lat.gram)
+        mt_g = intmat.matmul(intmat.transpose(self.matrix), lat.gram)
         return Isometry(lat, intmat.matmul(lat.gram_inverse, mt_g))
 
     def to_json_dict(self) -> dict:
@@ -102,22 +128,10 @@ class Isometry:
         return f"Isometry({self.lattice.spec!r}, rank={self.lattice.rank})"
 
 
-def _square_rows(lattice: Lattice, matrix) -> intmat.Matrix:
-    """The rows of matrix as a tuple of tuples; NotAnIsometry unless n x n."""
-    m = tuple(map(tuple, matrix))
-    n = lattice.rank
-    if len(m) != n or any(len(row) != n for row in m):
-        raise NotAnIsometry(f"matrix must be {n}x{n}")
-    return m
-
-
 def verify_isometry(lattice: Lattice, matrix) -> Isometry:
     """The certificate for rows from outside the package: NotAnIsometry unless
     they are an n x n matrix of exact ints passing the constructor's check."""
-    m = _square_rows(lattice, matrix)
-    for row in m:
-        check_ints(row, NotAnIsometry, "the matrix")
-    return Isometry(lattice, m)
+    return Isometry(lattice, matrix)
 
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
@@ -210,21 +224,26 @@ def spinor_norm(m: Isometry) -> int:
     """+1 iff m preserves the orientation of the positive part: the sign
     of det B, B = P^T G M P over canonical_frame.
 
-    Column b of B pairs each G p_a = e_s + c e_{s+1} with M p_b = m_s +
-    m_{s+1}, the sum of two columns of M.  Expanding det B along a column
-    equal to d e_b with d > 0 leaves d times the minor without row and
-    column b, so every such index is dropped, and one determinant over
-    the rest gives the sign.  A frame column that M fixes gives D_bb e_b
-    and is dropped without being computed.
+    Column b of B pairs each G p_a = e_s + c e_{s+1} with M p_b = p_b +
+    d_s + d_{s+1}, d_s column s of M - I: it is (1 + c) e_b, from p_b^2,
+    plus the pairings of G p_a with the non-zero entries of d_s and
+    d_{s+1}.  Expanding det B along a column equal to d e_b with d > 0
+    leaves d times the minor without row and column b, so every such
+    index is dropped, and one determinant over the rest gives the sign.
+    A frame column that M fixes gives (1 + c) e_b and is dropped without
+    being computed.
     """
-    cols, moved = m._columns, m._moved
+    moved = m._moved
     frame = canonical_frame(m.lattice)
     kept = {}  # b -> column b of B
-    for b, (s, _) in enumerate(frame):
+    for b, (s, cb) in enumerate(frame):
         if s not in moved and s + 1 not in moved:
             continue
-        x, y = cols[s], cols[s + 1]
-        col = [x[t] + y[t] + c * (x[t + 1] + y[t + 1]) for t, c in frame]
+        z = [0] * m.lattice.rank  # d_s + d_{s+1}
+        for r, x in moved.get(s, []) + moved.get(s + 1, []):
+            z[r] += x
+        col = [z[t] + c * z[t + 1] for t, c in frame]
+        col[b] += 1 + cb
         if col[b] <= 0 or col.count(0) < len(col) - 1:
             kept[b] = col
     det = intmat.det([[col[a] for a in kept] for col in kept.values()])

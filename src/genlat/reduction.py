@@ -31,7 +31,8 @@ pair rows of the certificate.  Every other step left-multiplies the
 class and the certificate by a low-rank term I + sum a b^T from
 isometry.py: a transvection, and on elliptic surfaces the reflection in
 R - T that swaps R and T and, on the sphere path, phi = E_{k, -a R},
-the last step.
+the last step.  The engine keeps only the certificate rows a step has
+changed, as dicts; the other rows are the shared identity row objects.
 
 The class ends at e1 + s f1 with 2s its square; scaling by the
 divisibility d gives the canonical form d(e1 + s' f1) in general.
@@ -234,16 +235,24 @@ class _Reducer:
         if any(coords[i] for i in range(lattice.rank) if i not in acting_idx):
             raise PreconditionFailed("class is not supported in the acting sublattice")
         self.y = list(coords)
-        self.m = intmat.identity_rows(lattice.rank)
+        self.rows = {}  # r -> row r of the certificate as {j: entry}, for rows not e_r
 
     def step(self, terms) -> None:
         """Left-multiply the running class and the certificate by
         I + sum of a b^T over the (a, b) pairs in terms."""
-        m, y = self.m, self.y
-        rows = [(a, intmat.vecmat(b, m), intmat.dot(b, y)) for a, b in terms]
-        for a, row, t in rows:
-            intmat.add_outer(m, a, row)
+        rows, y = self.rows, self.y
+        updates = []
+        for a, b in terms:
+            bm = {}  # b^T M over the support of b
+            for r in compress(range(len(b)), b):
+                for j, z in rows.get(r, {r: 1}).items():
+                    bm[j] = bm.get(j, 0) + b[r] * z
+            updates.append((a, bm, intmat.dot(b, y)))
+        for a, bm, t in updates:
             for r in compress(range(len(a)), a):
+                row = rows.setdefault(r, {r: 1})
+                for j, z in bm.items():
+                    row[j] = row.get(j, 0) + a[r] * z
                 y[r] += t * a[r]
 
     def move(self, u, v) -> None:
@@ -261,6 +270,8 @@ class _Reducer:
         on the right (C1: col1 += t col2, C2: col2 += t col1) they stand
         for E_{e1, -t e2}, E_{f1, t f2}, E_{e1, t f2} and E_{f1, -t e2}.
         """
+        if not steps:
+            return
         l = r = ((1, 0), (0, 1))
         for side, e in steps:
             if side == "L":
@@ -280,10 +291,9 @@ class _Reducer:
         e1, f1, e2, f2 = self.e1, self.f1, self.e2, self.f2
         y = self.y
         y[e1], y[f1], y[e2], y[f2] = lnr(y[e1], y[f1], y[e2], y[f2])
-        rows = ra, rb, rc, rg = [self.m[i] for i in (e1, f1, e2, f2)]
-        cols = range(self.lattice.rank)
-        for j in set().union(*(compress(cols, row) for row in rows)):
-            ra[j], rb[j], rc[j], rg[j] = lnr(ra[j], rb[j], rc[j], rg[j])
+        rows = ra, rb, rc, rg = [self.rows.setdefault(i, {i: 1}) for i in (e1, f1, e2, f2)]
+        for j in set().union(*rows):
+            ra[j], rb[j], rc[j], rg[j] = lnr(ra.get(j, 0), rb.get(j, 0), rc.get(j, 0), rg.get(j, 0))
 
     def pair_matrix(self) -> intmat.Matrix:
         y = self.y
@@ -348,7 +358,14 @@ class _Reducer:
         raise InvariantViolation("class is not primitive")
 
     def certificate_matrix(self) -> intmat.Matrix:
-        return tuple(map(tuple, self.m))
+        """The rows the engine changed, and the shared identity rows elsewhere."""
+        m = list(intmat.identity(self.lattice.rank))
+        for r, row in self.rows.items():
+            dense = [0] * len(m)
+            for j, x in row.items():
+                dense[j] = x
+            m[r] = tuple(dense)
+        return tuple(m)
 
 
 def reduce_even(

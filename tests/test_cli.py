@@ -294,6 +294,21 @@ def test_oversized_or_out_of_range_parameters_exit_2(argv):
     _assert_typed_error(*call(argv))
 
 
+@pytest.mark.parametrize("flag", ["--square", "--div", "--bound", "--budget"])
+def test_integer_flag_past_the_digit_limit_is_not_echoed(flag):
+    argv = ["oracle", "orbit", "--lattice", "H", "--square", "0", flag, _HUGE]
+    code, out, err = call(argv)
+    _assert_typed_error(code, out, err)
+    assert err == f"error: argument {flag}: has too many digits (5000)\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "9" * 20 + "x"])
+def test_integer_flag_keeps_argparse_wording(value):
+    code, out, err = call(["oracle", "orbit", "--lattice", "H", "--square", value])
+    _assert_typed_error(code, out, err)
+    assert err == f"error: argument --square: invalid int value: {value!r}\n"
+
+
 def test_matrix_file_with_oversized_integer_exit_2(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(f"[[{_HUGE}, 0], [0, 1]]")

@@ -94,6 +94,17 @@ def test_verify_refuses_non_integer_entries(H, matrix):
         g.verify_isometry(H, matrix)
 
 
+@pytest.mark.parametrize(
+    "matrix, bad",
+    [([[1.0, 0], [0, True]], 1.0), ([[1, 0], [0, True]], True), ([[1, 0.0], [0, 1]], 0.0)],
+)
+@pytest.mark.parametrize("build", [g.Isometry, g.verify_isometry])
+def test_constructor_refuses_non_integer_entries(H, matrix, bad, build):
+    # each row equals an identity row, so only the type check can refuse it
+    with pytest.raises(g.NotAnIsometry, match=rf"^non-integer entry {bad!r} in the matrix$"):
+        build(H, matrix)
+
+
 def test_random_generator_products_verify(H2E8):
     # closure under composition: every random word in the generator
     # pool passes the Gram check, and any single-entry corruption fails

@@ -173,6 +173,27 @@ def test_apply_matches_dense_matvec(seed, data):
     assert iso(lat.hclass(x)).coords == dense_matvec(iso.matrix, x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["E(3)", "E(6)", "E(2;2,3)"]),
+    st.lists(st.integers(-4, 4), min_size=70, max_size=70).filter(lambda c: any(c[2:22])),
+    st.data(),
+)
+def test_apply_matches_dense_matvec_on_reduction_certificates(spec, coords, data):
+    # apply reads only the moved columns of M - I; the class has W = 0,
+    # so it is orthogonal to k on every surface here
+    s = _surface(spec)
+    lat = s.lattice
+    iso = g.reduce_in_elliptic(s, lat.hclass([coords[0], 0] + coords[2:lat.rank])).certificate
+    x = data.draw(vectors(lat.rank))
+    assert iso.apply(x) == dense_matvec(iso.matrix, x) == intmat.matvec(iso.matrix, x)
+
+
+@cache
+def _surface(spec):
+    return g.parse_surface(spec)
+
+
 @cache
 def _certificate(spec):
     # a reduction that moves the E8 part, so the certificate is not

@@ -604,6 +604,35 @@ def test_each_reduction_is_checked_exactly_once(e3, H2E8, monkeypatch):
         assert len(calls) == 1 and calls[0] is res.certificate
 
 
+def test_reductions_never_build_the_dense_gram():
+    # the engine, the certificate check, apply and the spinor norm read
+    # the sparse Gram rows only; a fresh E(16) lattice (rank 190) keeps
+    # its dense Gram unbuilt through every reduction path
+    s = g.make_surface(16)
+    s23 = g.make_surface(16, 2, 3)
+    x = s.parse_class("k=2,e1=3,f1=5,e2=2,f2=-1,e7=1,f7=2,x3_1=1,x16_8=-2")
+    cases = [
+        lambda: g.reduce_in_elliptic(s, x),
+        lambda: g.sphere_reduction(s, 3 * s.k + s.R - s.T + s.parse_class("e5=1")),
+        lambda: g.min_genus(s23, s23.parse_class("e1=2,f1=3,e4=1,x2_3=1")).certificate,
+    ]
+    for case in cases:
+        assert case() is not None
+        assert "gram" not in vars(s.lattice) and "gram" not in vars(s23.lattice)
+
+
+def test_untouched_certificate_rows_are_the_identity_rows(e3):
+    # rows that no engine step reaches are the shared identity row objects,
+    # which the Isometry check passes over with an is test
+    lat = e3.lattice
+    red, _ = reduction._run_after_k(e3, e3.parse_class("k=2,e1=3,f1=5,e2=2,f2=-1,x1_1=1"))
+    m, eye = red.certificate_matrix(), intmat.identity(lat.rank)
+    assert 0 < len(red.rows) < lat.rank
+    for r in range(lat.rank):
+        assert (m[r] is eye[r]) == (r not in red.rows)
+    assert all(a is b for a, b in zip(g.Isometry(lat, m).matrix, m))
+
+
 def _reflect_in_helper(red):
     # e2 + f2 of the helper H block has square 2, so its reflection has
     # spinor norm -1; it fixes the reduced class, which has no e2, f2 part
